@@ -36,8 +36,10 @@
 //     report's checkpoint section must show warm-fork cells running
 //     with every forked fingerprint byte-identical to its
 //     straight-through reference, a non-empty snapshot, and a
-//     warm-fork wall-clock speedup of at least 1.3x — and the section
-//     itself must not vanish when the baseline carries one.
+//     warm-fork wall-clock speedup of at least 1.3x, a per-cell restore
+//     within 10x of the baseline's (restores alias the checkpoint's
+//     pages; an eager copy is ~50x slower) — and the section itself
+//     must not vanish when the baseline carries one.
 //
 // It understands both report shapes emitted by cmd/dcsbench:
 // BENCH_dataplane.json (data-plane microbenchmarks) and
@@ -252,6 +254,14 @@ func checkCheckpointKnob(base, cur *checkpointPerf) []string {
 	if cur.Cells > 0 && cur.Speedup < 1.1 {
 		bad = append(bad, fmt.Sprintf(
 			"NOCKPT checkpoint: warm-fork speedup %.2fx below the 1.1x floor (forking no longer pays)", cur.Speedup))
+	}
+	// Copy-on-write restores cost page-table work, not a copy of the
+	// image; the 10x band absorbs runner speed while an eager copy of
+	// the ~100 MB image (~50x the baseline) still trips it.
+	if base != nil && base.RestoreNs > 0 && cur.RestoreNs > 10*base.RestoreNs {
+		bad = append(bad, fmt.Sprintf(
+			"NOCKPT checkpoint: restore %.1f ms per cell, over 10x the baseline %.1f ms (restores copy the image again)",
+			cur.RestoreNs/1e6, base.RestoreNs/1e6))
 	}
 	return bad
 }

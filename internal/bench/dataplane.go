@@ -127,10 +127,28 @@ func benchMemCopy() DataplaneStat {
 	})
 }
 
+// benchMemCopyCross measures Map.Copy's piecewise path: a 4 KiB copy
+// whose source and destination each straddle a page and a 64 KiB
+// block boundary, so neither span is one contiguous block. First
+// touch allocates the blocks during warm-up; steady state must not.
+func benchMemCopyCross() DataplaneStat {
+	mm := mem.NewMap()
+	r := mm.AddRegion("dram", mem.HostDRAM, 1<<20, true)
+	src := r.Base + 64<<10 - dpPage/2
+	dst := r.Base + 512<<10 - dpPage/2 - 64
+	mm.Write(src, make([]byte, dpPage))
+	return measureOps("mem_copy_cross_block_4k", dpPage, 1000, 200000, func(n int) {
+		for i := 0; i < n; i++ {
+			mm.Copy(dst, src, dpPage)
+		}
+	})
+}
+
 // benchReadInto measures Map.ReadInto (4 KiB into a caller buffer).
 func benchReadInto() DataplaneStat {
 	mm := mem.NewMap()
 	r := mm.AddRegion("dram", mem.HostDRAM, 1<<20, true)
+	mm.Write(r.Base, make([]byte, dpPage))
 	buf := make([]byte, dpPage)
 	return measureOps("mem_read_into_4k", dpPage, 1000, 200000, func(n int) {
 		for i := 0; i < n; i++ {
@@ -446,6 +464,7 @@ func NewDataplaneReport() *DataplaneReport {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Benches: []DataplaneStat{
 			benchMemCopy(),
+			benchMemCopyCross(),
 			benchReadInto(),
 			benchDMA(),
 			benchDMAVec(),

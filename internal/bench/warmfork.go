@@ -54,11 +54,11 @@ func DefaultWarmForkConfig() WarmForkConfig {
 
 // WarmForkCell is one (seed) cell's verdict.
 type WarmForkCell struct {
-	Seed       uint64 `json:"seed"`
-	StraightFP string `json:"straight_fp"`
-	ForkedFP   string `json:"forked_fp"`
-	Match      bool   `json:"match"`
-	Requests   int    `json:"requests"`
+	Seed       uint64  `json:"seed"`
+	StraightFP string  `json:"straight_fp"`
+	ForkedFP   string  `json:"forked_fp"`
+	Match      bool    `json:"match"`
+	Requests   int     `json:"requests"`
 	StraightMs float64 `json:"straight_ms"`
 	ForkedMs   float64 `json:"forked_ms"`
 	RestoreNs  int64   `json:"restore_ns"`
@@ -77,6 +77,8 @@ type WarmForkResult struct {
 	ForkedMs      float64        `json:"forked_ms"`
 	Speedup       float64        `json:"speedup"`
 	AllMatch      bool           `json:"all_match"`
+
+	snapshot []byte // the buffer every forked cell restored from
 }
 
 // swiftCfgFor builds the grid's workload configuration.
@@ -153,6 +155,7 @@ func RunWarmForkGrid(cfg WarmForkConfig) (WarmForkResult, error) {
 	out.SaveNs = time.Since(saveStart).Nanoseconds()
 	out.SnapshotBytes = len(ckpt)
 	out.SnapshotHash = snap.ContentHash(ckpt)
+	out.snapshot = ckpt
 
 	// Straight-through reference cells: warm + measured in one process.
 	out.Cells = make([]WarmForkCell, len(cfg.Seeds))
@@ -178,7 +181,7 @@ func RunWarmForkGrid(cfg WarmForkConfig) (WarmForkResult, error) {
 
 	// Forked cells: fresh cluster, restore the shared snapshot, run
 	// only the measured window. The snapshot bytes are shared read-only
-	// across workers.
+	// across workers: restored pages alias them copy-on-write.
 	ParallelFor(len(cfg.Seeds), cfg.Workers, func(i int) {
 		cell := &out.Cells[i]
 		start := time.Now()

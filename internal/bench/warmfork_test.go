@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"dcsctrl/internal/core"
+	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
+	"dcsctrl/internal/sim/snap"
 )
 
 // TestWarmForkEquivalenceMatrix is the fork-vs-straight determinism
@@ -91,5 +93,50 @@ func TestWarmForkSnapshotDeterminism(t *testing.T) {
 		if snaps[0][i] != snaps[1][i] {
 			t.Fatalf("re-warmed snapshots differ at byte %d", i)
 		}
+	}
+}
+
+// TestWarmForkIsolation: cells restored concurrently from one buffer
+// share its pages copy-on-write, so no cell's writes may reach the
+// buffer or a sibling. The checkpoint's content hash must survive the
+// grid, and every forked cell must still match its straight run.
+func TestWarmForkIsolation(t *testing.T) {
+	cfg := DefaultWarmForkConfig()
+	cfg.Seeds = []uint64{1, 2, 3, 4}
+	cfg.WarmDuration = 3 * sim.Millisecond
+	cfg.Conns = 4
+	cfg.Workers = 2
+	res, err := RunWarmForkGrid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := snap.ContentHash(res.snapshot); after != res.SnapshotHash {
+		t.Fatalf("checkpoint changed under its forks: hash %s before the grid, %s after", res.SnapshotHash, after)
+	}
+	for _, c := range res.Cells {
+		if !c.Match {
+			t.Errorf("seed %d: forked fingerprint %s, straight %s", c.Seed, c.ForkedFP, c.StraightFP)
+		}
+	}
+}
+
+// TestViewsLeaveZeroPageClean runs the figure, Swift, HDFS, rack and
+// warm-fork paths and then checks the zero page that views of absent
+// memory alias: a caller writing through a View would dirty it.
+func TestViewsLeaveZeroPageClean(t *testing.T) {
+	Figure11b()
+	swift, hdfs := DefaultFig12Swift(), DefaultFig12HDFS()
+	swift.Duration, hdfs.Duration = 2*sim.Millisecond, 2*sim.Millisecond
+	RunFigure12(swift, hdfs)
+	RunRack(RackConfig{Nodes: 8, Bytes: 8 << 10, Seed: 7})
+	cfg := DefaultWarmForkConfig()
+	cfg.Seeds = []uint64{1}
+	cfg.WarmDuration = 3 * sim.Millisecond
+	cfg.Conns = 4
+	if _, err := RunWarmForkGrid(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !mem.ZeroPageClean() {
+		t.Fatal("the shared zero page was written through a View")
 	}
 }

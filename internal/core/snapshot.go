@@ -38,6 +38,16 @@ func (c *Cluster) Snapshot() ([]byte, error) {
 		Flags:   c.snapFlags(),
 		Config:  c.ConfigFingerprint(),
 	})
+	// Reserve the bulk of the image (memory pages and flash) once, so
+	// the buffer is never recopied as sections append.
+	hint := 64 << 10
+	for _, n := range []*Node{c.Server, c.Client} {
+		hint += n.MM.SnapSizeHint()
+		for _, ssd := range n.SSDs {
+			hint += ssd.SnapSizeHint()
+		}
+	}
+	w.Grow(hint)
 
 	w.Section("env")
 	w.I64(int64(es.Now))

@@ -299,8 +299,10 @@ func (e *Engine) ndpStage(p *sim.Proc, cmd Command, window *sim.Resource,
 		entry.Aux = uint64(cmd.Fn)
 		// View: msg.buf is not freed (and the window credit not
 		// released) until after StreamChunk returns, so the bytes are
-		// stable across its simulated delays. In-place units mutating
-		// the view write the same bytes mm.Write stores back below.
+		// stable across its simulated delays. Units never write into
+		// their input: a view is read-only (it may alias the shared
+		// zero page or a restored checkpoint), so transforms return
+		// fresh output and pass-through units return the input itself.
 		data := mm.View(msg.buf, msg.n)
 		outBytes, err := bank.StreamChunk(p, stream, data)
 		if err != nil {
@@ -325,11 +327,16 @@ func (e *Engine) ndpStage(p *sim.Proc, cmd Command, window *sim.Resource,
 				return
 			}
 		} else {
-			// In-place transform: same buffer continues downstream.
+			// In-place transform: same buffer continues downstream. A
+			// pass-through unit (the hashes) handed back the view
+			// itself, so the chunk already holds its output; storing
+			// it onto itself would only un-share restored pages.
 			if len(outBytes) != msg.n {
 				panic("hdc: identity-size unit changed length")
 			}
-			mm.Write(msg.buf, outBytes)
+			if msg.n == 0 || &outBytes[0] != &data[0] {
+				mm.Write(msg.buf, outBytes)
+			}
 			out.Put(msg)
 			if msg.last {
 				_, aux, err := bank.StreamClose(p, stream)

@@ -65,3 +65,19 @@ func TestResolveZeroAlloc(t *testing.T) {
 		t.Fatalf("Map.MustResolve allocates %v per run", n)
 	}
 }
+
+// A copy whose spans straddle pages and blocks takes the piecewise
+// path; once first touch has allocated the blocks it must not
+// allocate either.
+func TestCopyCrossBlockZeroAlloc(t *testing.T) {
+	m := NewMap()
+	r := m.AddRegion("dram", HostDRAM, 1<<20, true)
+	src := r.Base + cellSize - 2048
+	dst := r.Base + (512 << 10) - 2048 - 64
+	m.Write(src, make([]byte, 4096))
+	if n := testing.AllocsPerRun(100, func() {
+		m.Copy(dst, src, 4096)
+	}); n != 0 {
+		t.Fatalf("Map.Copy (cross-block) allocates %v per run", n)
+	}
+}

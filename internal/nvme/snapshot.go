@@ -21,6 +21,10 @@ import (
 // idle-worker count and the restore path primes that many parked
 // workers (PrimeExecPool).
 
+// SnapSizeHint bounds the size SnapSave encodes: the flash image
+// plus a margin for rings and counters.
+func (s *SSD) SnapSizeHint() int { return len(s.flash)*(12+BlockSize) + 4096 }
+
 // SnapSave encodes the device state. QPs iterate in sorted-QID order
 // so encode order never leaks map iteration order.
 func (s *SSD) SnapSave(w *snap.Writer) error {
@@ -45,14 +49,10 @@ func (s *SSD) SnapSave(w *snap.Writer) error {
 
 	lbas := sim.SortedKeys(s.flash)
 	w.U32(uint32(len(lbas)))
-	flashBytes := 0
-	for _, lba := range lbas {
-		flashBytes += 16 + len(s.flash[lba])
-	}
-	w.Grow(flashBytes)
+	w.Grow(s.SnapSizeHint())
 	for _, lba := range lbas {
 		w.U64(lba)
-		w.Bytes(s.flash[lba])
+		w.Bytes(s.flash[lba].b)
 	}
 
 	qids := sim.SortedKeys(s.qps)
@@ -110,17 +110,19 @@ func (s *SSD) SnapLoad(r *snap.Reader) error {
 		return err
 	}
 	s.PrimeExecPool(idle)
-	s.flash = make(map[uint64][]byte, nBlocks)
+	// Restored blocks alias the checkpoint buffer until first written
+	// (the buffer must not change while this SSD lives).
+	s.flash = make(map[uint64]flashBlock, nBlocks)
 	for i := 0; i < nBlocks; i++ {
 		lba := r.U64()
-		blk := r.Bytes()
+		blk := r.Alias()
 		if err := r.Err(); err != nil {
 			return err
 		}
 		if len(blk) != BlockSize {
 			return fmt.Errorf("nvme: snapshot block %d is %d bytes", lba, len(blk))
 		}
-		s.flash[lba] = blk
+		s.flash[lba] = flashBlock{b: blk, shared: true}
 	}
 
 	nQP := int(r.U32())

@@ -60,7 +60,7 @@ type SSD struct {
 	writeBW *sim.BandwidthServer
 	exec    *sim.Resource // concurrent command execution (channels)
 
-	flash map[uint64][]byte
+	flash map[uint64]flashBlock
 	qps   map[uint16]*devQP
 
 	// Command-execution worker pool: finished workers park on
@@ -122,7 +122,7 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 		env:       env,
 		fab:       fab,
 		params:    params,
-		flash:     map[uint64][]byte{},
+		flash:     map[uint64]flashBlock{},
 		qps:       map[uint16]*devQP{},
 		execJobs:  sim.NewQueue[execJob](env, name+"-exec-jobs"),
 		zeroBlock: make([]byte, BlockSize),
@@ -352,14 +352,16 @@ func (s *SSD) execute(p *sim.Proc, cmd Command, pageScratch *[]mem.Addr, extScra
 		for i := 0; i < cmd.Blocks(); i++ {
 			// Overwrites land in the existing block — the flash map is
 			// the device's deterministic block cache; only first writes
-			// to an LBA allocate.
+			// to an LBA allocate, and first writes to a restored block,
+			// which aliases the checkpoint until then. The write covers
+			// the whole block, so copy-on-write needs no copy.
 			lba := cmd.SLBA + uint64(i)
 			blk, ok := s.flash[lba]
-			if !ok {
-				blk = make([]byte, BlockSize)
+			if !ok || blk.shared {
+				blk = flashBlock{b: make([]byte, BlockSize)}
 				s.flash[lba] = blk
 			}
-			s.fab.Mem().ReadInto(slot+mem.Addr(i*BlockSize), blk)
+			s.fab.Mem().ReadInto(slot+mem.Addr(i*BlockSize), blk.b)
 		}
 		s.bytesWr += int64(n)
 	}
@@ -442,12 +444,20 @@ func (s *SSD) cplLoop(p *sim.Proc, qp *devQP) {
 	}
 }
 
+// flashBlock is one block of flash content. A shared block aliases
+// the checkpoint it was restored from and is replaced, never written,
+// on its first program.
+type flashBlock struct {
+	b      []byte
+	shared bool
+}
+
 // readBlock returns the flash content of lba. Never-written LBAs read
 // as the shared zero block, which no caller may mutate (every use
-// copies out of it).
+// copies out of it, as it must out of restored blocks).
 func (s *SSD) readBlock(lba uint64) []byte {
 	if b, ok := s.flash[lba]; ok {
-		return b
+		return b.b
 	}
 	return s.zeroBlock
 }
@@ -458,7 +468,7 @@ func (s *SSD) Preload(lba uint64, data []byte) {
 	for off := 0; off < len(data); off += BlockSize {
 		blk := make([]byte, BlockSize)
 		copy(blk, data[off:])
-		s.flash[lba+uint64(off/BlockSize)] = blk
+		s.flash[lba+uint64(off/BlockSize)] = flashBlock{b: blk}
 	}
 }
 

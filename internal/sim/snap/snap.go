@@ -162,70 +162,73 @@ func (w *Writer) Finish() []byte {
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Grow ensures capacity for at least n more bytes. Snapshotters with
-// a known payload bound (a region's live prefix, a flash block count)
-// call it so multi-megabyte sections append without repeated buffer
-// doubling — each doubling recopies the whole checkpoint built so
-// far.
+// a known payload size (a memory map's captured pages, a flash block
+// count) call it so multi-megabyte sections append without repeated
+// reallocation. Capacity grows at least geometrically, so a sequence
+// of Grow calls recopies the checkpoint built so far only a
+// logarithmic number of times.
 func (w *Writer) Grow(n int) {
 	if cap(w.buf)-len(w.buf) >= n {
 		return
 	}
-	nb := make([]byte, len(w.buf), len(w.buf)+n)
+	nb := make([]byte, len(w.buf), max(len(w.buf)+n, 2*cap(w.buf)))
 	copy(nb, w.buf)
 	w.buf = nb
 }
 
-// SparseBytes encodes data as its non-zero 4 KiB pages: a page count,
-// then (page index, raw page bytes) pairs in index order. Restores go
-// through LoadSparseBytes, which leaves every uncaptured page zero,
-// so the encoding is an authoritative image of the full span, not a
-// patch.
+// PageSize is the sparse image's page size.
+const PageSize = 4096
+
+// SparsePageBytes is the encoded size of one captured full page: its
+// 4-byte index and its bytes.
+const SparsePageBytes = 4 + PageSize
+
+// SparseHeaderBytes is the encoded size of a sparse image's header.
+const SparseHeaderBytes = 8 + 4
+
+// A sparse image encodes a byte span as its non-zero PageSize pages:
+// the span size, a page count, then (page index, raw page bytes)
+// pairs in index order; the last page of a span whose size is not a
+// page multiple is short. Decoders treat every uncaptured page as
+// zero, so the image is authoritative for the whole span, not a
+// patch. Writers emit the header and pages themselves (a paged memory
+// region walks its page table); SparseBytes is the flat-slice form.
+
+// SparseHeader encodes a sparse image's span size and page count.
+func (w *Writer) SparseHeader(size uint64, pages int) {
+	w.u64(size)
+	w.u32(uint32(pages))
+}
+
+// SparsePage encodes captured page idx. Pages must be non-zero and
+// arrive in ascending index order.
+func (w *Writer) SparsePage(idx int, p []byte) {
+	w.u32(uint32(idx))
+	w.buf = append(w.buf, p...)
+}
+
+// SparseBytes encodes data as a sparse image.
 func (w *Writer) SparseBytes(data []byte) {
-	w.SparseBytesLive(data, uint64(len(data)))
-}
-
-// SparseBytesLive is SparseBytes with a caller-supplied liveness
-// bound: bytes at or past live are guaranteed zero (e.g. a region's
-// write high-water mark), so only the live prefix is scanned. The
-// encoding is byte-identical to a full SparseBytes scan — pages past
-// the bound would have been skipped as zero anyway.
-func (w *Writer) SparseBytesLive(data []byte, live uint64) {
-	const page = 4096
-	w.u64(uint64(len(data)))
-	if live > uint64(len(data)) {
-		live = uint64(len(data))
-	}
-	// Single pass: reserve the count word and backpatch it, so each
-	// page is classified once (zero-scanning the span dominates the
-	// cost of saving a mostly-empty multi-megabyte region).
-	countAt := len(w.buf)
-	w.u32(0)
-	n := uint32(0)
-	for off := 0; off < int(live); off += page {
-		p := pageAt(data, off, page)
-		if isZero(p) {
-			continue
+	var idx []int
+	for off := 0; off < len(data); off += PageSize {
+		if !IsZero(pageAt(data, off)) {
+			idx = append(idx, off/PageSize)
 		}
-		n++
-		w.u32(uint32(off / page))
-		w.buf = append(w.buf, p...)
 	}
-	binary.LittleEndian.PutUint32(w.buf[countAt:], n)
+	w.SparseHeader(uint64(len(data)), len(idx))
+	for _, i := range idx {
+		w.SparsePage(i, pageAt(data, i*PageSize))
+	}
 }
 
-func pageAt(data []byte, off, page int) []byte {
-	end := off + page
-	if end > len(data) {
-		end = len(data)
-	}
-	return data[off:end]
+func pageAt(data []byte, off int) []byte {
+	return data[off:min(off+PageSize, len(data))]
 }
 
-// isZero scans one stream of 64-bit words, four per iteration.
-// Zero-scanning multi-megabyte spans is the dominant cost of a save,
-// so the loop shape matters; comparing against a zero page via
-// bytes.Equal loses here because it reads two streams.
-func isZero(b []byte) bool {
+// IsZero reports whether b is all zero, scanning one stream of 64-bit
+// words four per iteration (comparing against a zero page via
+// bytes.Equal loses here because it reads two streams).
+func IsZero(b []byte) bool {
 	for len(b) >= 32 {
 		if binary.LittleEndian.Uint64(b)|
 			binary.LittleEndian.Uint64(b[8:])|
@@ -427,64 +430,62 @@ func (r *Reader) EndSection() error {
 	return r.err
 }
 
-// LoadSparseBytes decodes a SparseBytes span into dst as an exact
-// image of the saved span regardless of dst's prior content: captured
-// pages are copied in, and every other page ends zero.
-func (r *Reader) LoadSparseBytes(dst []byte) error {
-	return r.LoadSparseBytesDirty(dst, uint64(len(dst)))
+// SparseHeader decodes a sparse image header for a span of size
+// bytes and returns its page count.
+func (r *Reader) SparseHeader(size uint64) int {
+	got := r.u64()
+	n := int(r.u32())
+	if r.err == nil && got != size {
+		r.fail(fmt.Errorf("snap: sparse span size %d, destination %d", got, size))
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
 }
 
-// LoadSparseBytesDirty is LoadSparseBytes with a caller-supplied
-// bound on dst's prior content: bytes at or past dirty are guaranteed
-// already zero (e.g. the destination region's write high-water mark),
-// so only gap pages below it need scrubbing. Gap pages are checked
-// before they are cleared — a restore targets a freshly built cluster
-// whose spans are almost entirely zero already, and a read-only scan
-// of a clean page is much cheaper than rewriting it.
-func (r *Reader) LoadSparseBytesDirty(dst []byte, dirty uint64) error {
-	const page = 4096
-	size := r.u64()
+// SparsePage decodes the next captured page of a span of size bytes
+// whose previous page index was prev (-1 before the first). The page
+// aliases the checkpoint buffer: callers must copy before writing.
+func (r *Reader) SparsePage(prev int, size uint64) (int, []byte) {
+	idx := int(r.u32())
 	if r.err != nil {
-		return r.err
+		return 0, nil
 	}
-	if size != uint64(len(dst)) {
-		r.fail(fmt.Errorf("snap: sparse span size %d, destination %d", size, len(dst)))
-		return r.err
+	if idx <= prev || uint64(idx)*PageSize >= size {
+		r.fail(fmt.Errorf("snap: sparse page index %d out of order or range", idx))
+		return 0, nil
 	}
-	dirtyPages := int((min(dirty, uint64(len(dst))) + page - 1) / page)
-	zeroGap := func(from, to int) { // page indices, [from, to)
-		if to > dirtyPages {
-			to = dirtyPages
-		}
-		for pi := from; pi < to; pi++ {
-			g := pageAt(dst, pi*page, page)
-			if !isZero(g) {
-				clear(g)
-			}
-		}
-	}
-	n := r.u32()
-	prev := -1
-	for i := uint32(0); i < n; i++ {
-		idx := int(r.u32())
+	return idx, r.take(int(min(PageSize, size-uint64(idx)*PageSize)))
+}
+
+// LoadSparseBytes decodes a SparseBytes span into dst as an exact
+// image of the saved span regardless of dst's prior content: captured
+// pages are copied in, and every other byte ends zero.
+func (r *Reader) LoadSparseBytes(dst []byte) error {
+	n := r.SparseHeader(uint64(len(dst)))
+	next := 0 // first byte not yet written
+	for i, prev := 0, -1; i < n && r.err == nil; i++ {
+		idx, p := r.SparsePage(prev, uint64(len(dst)))
 		if r.err != nil {
-			return r.err
+			break
 		}
-		if idx <= prev || idx*page >= len(dst) {
-			r.fail(fmt.Errorf("snap: sparse page index %d out of order or range", idx))
-			return r.err
-		}
-		zeroGap(prev+1, idx)
+		clear(dst[next : idx*PageSize])
+		next = idx*PageSize + copy(dst[idx*PageSize:], p)
 		prev = idx
-		p := pageAt(dst, idx*page, page)
-		src := r.take(len(p))
-		if src == nil {
-			return r.err
-		}
-		copy(p, src)
 	}
-	zeroGap(prev+1, (len(dst)+page-1)/page)
+	if r.err == nil {
+		clear(dst[next:])
+	}
 	return r.err
+}
+
+// Alias decodes a length-prefixed byte slice without copying: the
+// result aliases the checkpoint buffer, so the caller must copy
+// before writing and must not let the buffer change while it lives.
+func (r *Reader) Alias() []byte {
+	n := r.u32()
+	return r.take(int(n))
 }
 
 // fnv1a computes a 64-bit FNV-1a-style digest of b, folding eight
