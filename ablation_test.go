@@ -17,6 +17,7 @@ import (
 func ablationStream(b *testing.B, params core.Params, k int, proc core.Processing) float64 {
 	b.Helper()
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, core.DCSCtrl, params)
 	const size = 256 << 10
 	const rounds = 4
@@ -47,6 +48,7 @@ func ablationStream(b *testing.B, params core.Params, k int, proc core.Processin
 func ablationLatency(b *testing.B, params core.Params, proc core.Processing) sim.Time {
 	b.Helper()
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, core.DCSCtrl, params)
 	const size = 256 << 10
 	f, err := cl.Server.StageFile("obj", make([]byte, size))

@@ -172,6 +172,7 @@ func BenchmarkSwiftDCSThroughput(b *testing.B) {
 		env := sim.NewEnv()
 		cl := core.NewCluster(env, core.DCSCtrl, core.DefaultParams())
 		res, err := apps.RunSwift(env, cl, bench.DefaultFig12Swift())
+		env.Close()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -168,6 +168,11 @@ func NewTestbed(serverKind Config, opts ...Option) *Testbed {
 	}
 }
 
+// Close releases the testbed's simulation: every parked process is
+// unwound, so the testbed's goroutines exit and its memory can be
+// reclaimed. The testbed cannot run again afterwards.
+func (t *Testbed) Close() { t.Env.Close() }
+
 // Go spawns an application process.
 func (t *Testbed) Go(name string, fn func(p *Proc)) { t.Env.Spawn(name, fn) }
 

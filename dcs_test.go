@@ -18,6 +18,7 @@ func payload(n int) []byte {
 
 func TestQuickstartFlow(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl)
+	defer tb.Close()
 	content := payload(128 << 10)
 	f, err := tb.StageFile("obj", content)
 	if err != nil {
@@ -50,6 +51,7 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestUploadFlow(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl)
+	defer tb.Close()
 	content := payload(96 << 10)
 	f, err := tb.CreateFile("upload", len(content))
 	if err != nil {
@@ -91,6 +93,7 @@ func TestAllConfigsThroughFacade(t *testing.T) {
 			got = tb.ClientRecv(p, conn, len(content))
 		})
 		tb.Run()
+		tb.Close()
 		if !bytes.Equal(got, content) {
 			t.Fatalf("%v: payload mismatch", kind)
 		}
@@ -99,6 +102,7 @@ func TestAllConfigsThroughFacade(t *testing.T) {
 
 func TestFPGABudgetExposure(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl)
+	defer tb.Close()
 	budget := tb.FPGABudget()
 	if budget == nil {
 		t.Fatal("no budget on DCS testbed")
@@ -114,6 +118,7 @@ func TestFPGABudgetExposure(t *testing.T) {
 
 func TestServerAccounting(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.SWOpt)
+	defer tb.Close()
 	content := payload(64 << 10)
 	f, _ := tb.StageFile("obj", content)
 	conn := tb.OpenConnection(true)
@@ -159,6 +164,7 @@ func TestScalabilityProjection(t *testing.T) {
 
 func TestWorkloadsThroughFacade(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithClientConfig(dcsctrl.DCSCtrl))
+	defer tb.Close()
 	cfg := dcsctrl.DefaultHDFSConfig()
 	cfg.Streams = 2
 	cfg.BlockSize = 256 << 10
@@ -177,7 +183,9 @@ func TestCustomParams(t *testing.T) {
 	params := dcsctrl.DefaultParams()
 	params.SSD.ReadLatency = 100 * dcsctrl.Microsecond // a much slower SSD
 	slow := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithParams(params))
+	defer slow.Close()
 	fast := dcsctrl.NewTestbed(dcsctrl.DCSCtrl)
+	defer fast.Close()
 	run := func(tb *dcsctrl.Testbed) dcsctrl.Time {
 		content := payload(4096)
 		f, _ := tb.StageFile("obj", content)
@@ -199,6 +207,7 @@ func TestCopyFileFacade(t *testing.T) {
 	params := dcsctrl.DefaultParams()
 	params.NumSSDs = 2
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithParams(params))
+	defer tb.Close()
 	content := payload(128 << 10)
 	src, err := tb.StageFile("src", content)
 	if err != nil {
@@ -219,6 +228,7 @@ func TestCopyFileFacade(t *testing.T) {
 	}
 	// Copying on a non-DCS server is rejected.
 	sw := dcsctrl.NewTestbed(dcsctrl.SWOpt)
+	defer sw.Close()
 	f1, _ := sw.StageFile("a", content)
 	f2, _ := sw.CreateFile("b", len(content))
 	sw.Go("bad", func(p *dcsctrl.Proc) {
@@ -231,6 +241,7 @@ func TestCopyFileFacade(t *testing.T) {
 
 func TestEncryptedSendFacade(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl)
+	defer tb.Close()
 	if err := tb.ProvisionAESKey(7, [32]byte{0x5c}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 func swiftFingerprint(t *testing.T, cfg dcsctrl.Config, workloadSeed, faultSeed uint64) string {
 	t.Helper()
 	tb := dcsctrl.NewTestbed(cfg, dcsctrl.WithFaults(faultSeed, fault.Light()))
+	defer tb.Close()
 	sc := dcsctrl.DefaultSwiftConfig()
 	sc.Seed = workloadSeed
 	sc.Conns = 4

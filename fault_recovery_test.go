@@ -82,6 +82,7 @@ func TestFaultRecoveryAcrossConfigs(t *testing.T) {
 		for _, cfg := range configs {
 			t.Run(profile.Name+"/"+cfg.String(), func(t *testing.T) {
 				tb := dcsctrl.NewTestbed(cfg, dcsctrl.WithFaults(42, profile))
+				defer tb.Close()
 				runTransferPair(t, tb, 512<<10)
 				if profile.Name == "heavy" && tb.Faults().TotalInjected() == 0 {
 					t.Error("heavy profile injected no faults (injection sites not wired?)")
@@ -100,6 +101,7 @@ func TestRetriesVisibleInBreakdown(t *testing.T) {
 		Rules: map[fault.Site]fault.Rule{fault.HDCPoisonCpl: {Prob: 1, Limit: 2}},
 	}
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithFaults(7, poison))
+	defer tb.Close()
 	content := payload(128 << 10)
 	f, err := tb.StageFile("obj", content)
 	if err != nil {
@@ -139,6 +141,7 @@ func TestRetriesVisibleInBreakdown(t *testing.T) {
 // path with correct digests.
 func TestEngineFailureFallsBackToHost(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithFaults(1, fault.EngineFail()))
+	defer tb.Close()
 	runTransferPair(t, tb, 256<<10)
 	rs := tb.ServerRecoveryStats()
 	if !rs.EngineFailed {
@@ -162,6 +165,7 @@ func TestSwiftCompletesUnderFaults(t *testing.T) {
 	for _, cfg := range []dcsctrl.Config{dcsctrl.Vanilla, dcsctrl.SWOpt, dcsctrl.SWP2P, dcsctrl.DCSCtrl} {
 		t.Run(cfg.String(), func(t *testing.T) {
 			tb := dcsctrl.NewTestbed(cfg, dcsctrl.WithFaults(99, fault.Light()))
+			defer tb.Close()
 			sc := dcsctrl.DefaultSwiftConfig()
 			sc.Conns = 4
 			sc.Warmup = 1 * dcsctrl.Millisecond
@@ -189,6 +193,7 @@ func TestHDFSCompletesUnderFaults(t *testing.T) {
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl,
 		dcsctrl.WithClientConfig(dcsctrl.DCSCtrl),
 		dcsctrl.WithFaults(5, fault.Light()))
+	defer tb.Close()
 	hc := dcsctrl.DefaultHDFSConfig()
 	hc.Warmup = 1 * dcsctrl.Millisecond
 	hc.Duration = 8 * dcsctrl.Millisecond

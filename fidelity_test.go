@@ -26,6 +26,7 @@ import (
 func swiftFidelityFingerprint(t *testing.T, fid sim.WireFidelity, opts ...dcsctrl.Option) (string, sim.Stats, dcsctrl.RecoveryStats) {
 	t.Helper()
 	tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, opts...)
+	defer tb.Close()
 	tb.Env.SetWireFidelity(fid)
 	sc := dcsctrl.DefaultSwiftConfig()
 	sc.Conns = 4
@@ -100,6 +101,7 @@ func TestFidelityHDFSFingerprint(t *testing.T) {
 	}
 	run := func(fid sim.WireFidelity) (string, sim.Stats) {
 		tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithClientConfig(dcsctrl.DCSCtrl))
+		defer tb.Close()
 		tb.Env.SetWireFidelity(fid)
 		hc := dcsctrl.DefaultHDFSConfig()
 		hc.Warmup = 1 * dcsctrl.Millisecond

@@ -78,6 +78,7 @@ func TestFusionEquivalenceSwift(t *testing.T) {
 func TestFusionEquivalenceRecovery(t *testing.T) {
 	run := func() string {
 		tb := dcsctrl.NewTestbed(dcsctrl.DCSCtrl, dcsctrl.WithFaults(1, fault.EngineFail()))
+		defer tb.Close()
 		runTransferPair(t, tb, 256<<10)
 		return fmt.Sprintf("%+v now=%d faults=%s",
 			tb.ServerRecoveryStats(), tb.Env.Now(), tb.Faults().StatsString())

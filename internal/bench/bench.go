@@ -21,6 +21,7 @@ import (
 // reported, matching steady-state measurement practice).
 func microbench(kind core.Config, n int, proc core.Processing) core.OpResult {
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, kind, core.DefaultParams())
 	content := make([]byte, n)
 	for i := range content {
@@ -141,6 +142,7 @@ func RunFigure3Parallel(workers int) Figure3 {
 	ParallelFor(len(f.Configs), workers, func(i int) {
 		k := f.Configs[i]
 		env := sim.NewEnv()
+		defer env.Close()
 		cl := core.NewCluster(env, k, core.DefaultParams())
 		content := make([]byte, MicrobenchSize)
 		file, _ := cl.Server.StageFile("obj", content)
@@ -215,6 +217,7 @@ func RunFigure8Parallel(workers int) Figure8 {
 	ParallelFor(len(f.Configs), workers, func(i int) {
 		k := f.Configs[i]
 		env := sim.NewEnv()
+		defer env.Close()
 		cl := core.NewCluster(env, k, core.DefaultParams())
 		content := make([]byte, size)
 		file, _ := cl.Server.StageFile("obj", content)
@@ -289,6 +292,7 @@ func RunFigure12Parallel(swiftCfg apps.SwiftConfig, hdfsCfg apps.HDFSConfig, wor
 	ParallelFor(2*n, workers, func(i int) {
 		k := Fig12Configs[i%n]
 		env := sim.NewEnv()
+		defer env.Close()
 		if i < n {
 			cl := core.NewCluster(env, k, core.DefaultParams())
 			swiftOut[i], errs[i] = apps.RunSwift(env, cl, swiftCfg)

@@ -162,6 +162,7 @@ func benchReadInto() DataplaneStat {
 // real).
 func benchDMA() DataplaneStat {
 	env := sim.NewEnv()
+	defer env.Close()
 	mm := mem.NewMap()
 	fab := pcie.NewFabric(env, mm, pcie.DefaultParams())
 	port := fab.AddPort("root")
@@ -180,6 +181,7 @@ func benchDMA() DataplaneStat {
 // Engine's packet-gather and PRP-list transfers.
 func benchDMAVec() DataplaneStat {
 	env := sim.NewEnv()
+	defer env.Close()
 	mm := mem.NewMap()
 	fab := pcie.NewFabric(env, mm, pcie.DefaultParams())
 	port := fab.AddPort("root")
@@ -220,6 +222,7 @@ func (b *nvmeBench) onCpl(cpl nvme.Completion) {
 // callback dispatch.
 func benchNVMeRead() DataplaneStat {
 	env := sim.NewEnv()
+	defer env.Close()
 	mm := mem.NewMap()
 	fab := pcie.NewFabric(env, mm, pcie.DefaultParams())
 	port := fab.AddPort("root")
@@ -324,6 +327,7 @@ func (n *nicNode) postBufs(addr mem.Addr, count int) {
 // reply, and the measured op completes when A sees the reply land.
 func benchNICEcho() DataplaneStat {
 	env := sim.NewEnv()
+	defer env.Close()
 	a := newNicNode(env, "a")
 	b := newNicNode(env, "b")
 	nic.Connect(a.nic, b.nic)
@@ -406,6 +410,7 @@ func benchNICEcho() DataplaneStat {
 // job is the events_per_op baseline this bench exists to guard.
 func benchNICBulkStream() DataplaneStat {
 	env := sim.NewEnv()
+	defer env.Close()
 	a := newNicNode(env, "a")
 	b := newNicNode(env, "b")
 	nic.Connect(a.nic, b.nic)

@@ -77,6 +77,7 @@ func runFaultCell(kind core.Config, profileName string) FaultCell {
 	inj := fault.NewInjector(faultMatrixSeed, profile)
 	params.Faults = inj
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, kind, params)
 	cfg := apps.DefaultSwiftConfig()
 	cfg.Conns = 4

@@ -72,6 +72,7 @@ var fig13Fabrics = []struct {
 // streams with MD5, repeated so the pipeline reaches steady state.
 func fig13Stream(kind core.Config, params core.Params) float64 {
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, kind, params)
 	const size = 256 << 10
 	const k = 32

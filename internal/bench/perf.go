@@ -61,6 +61,7 @@ func measureKernel(env *sim.Env, fn func()) KernelStats {
 // staggered future instants, batch-dispatched (the event-heap path).
 func MeasureKernelSchedule(n int) KernelStats {
 	env := sim.NewEnv()
+	defer env.Close()
 	nop := func() {}
 	return measureKernel(env, func() {
 		const batch = 4096
@@ -78,6 +79,7 @@ func MeasureKernelSchedule(n int) KernelStats {
 // path).
 func MeasureKernelParkResume(n int) KernelStats {
 	env := sim.NewEnv()
+	defer env.Close()
 	for k := 0; k < 2; k++ {
 		env.Spawn("pp", func(p *sim.Proc) {
 			for i := 0; i < n/2; i++ {
@@ -95,6 +97,7 @@ func MeasureKernelParkResume(n int) KernelStats {
 // handler kernel eliminates (DESIGN.md §16).
 func MeasureKernelParkResumeHandler(n int) KernelStats {
 	env := sim.NewEnv()
+	defer env.Close()
 	for k := 0; k < 2; k++ {
 		i := 0
 		env.SpawnHandler("pp", func(h *sim.HandlerCtx) {
@@ -127,6 +130,7 @@ type ProtocolStats struct {
 // diffable across commits.
 func MeasureProtocol(name string, cfg core.Config, ops, size int) ProtocolStats {
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, cfg, core.DefaultParams())
 	content := make([]byte, size)
 	for i := range content {

@@ -162,6 +162,7 @@ func RunRack(cfg RackConfig) RackResult {
 		FaultProfile: cfg.FaultProfile,
 		FaultSeed:    cfg.FaultSeed,
 	})
+	defer r.Close()
 
 	conns := make([]core.Conn, len(flows))
 	for i, f := range flows {

@@ -107,6 +107,7 @@ func Table4(w io.Writer) {
 // stack with tracing on and returns the device-control timeline.
 func Figure2Timeline() []core.TimelineEvent {
 	env := sim.NewEnv()
+	defer env.Close()
 	cl := core.NewCluster(env, core.SWOpt, core.DefaultParams())
 	content := make([]byte, MicrobenchSize)
 	f, _ := cl.Server.StageFile("obj", content)

@@ -106,6 +106,7 @@ func (c WarmForkConfig) buildCell() (*sim.Env, *core.Cluster, *apps.SwiftSession
 	cl := core.NewCluster(env, c.Kind, params)
 	sess, err := apps.PrepareSwift(env, cl, c.swiftCfg())
 	if err != nil {
+		env.Close()
 		return nil, nil, nil, err
 	}
 	env.Run(-1) // settle setup-time events to quiescence
@@ -139,10 +140,11 @@ func RunWarmForkGrid(cfg WarmForkConfig) (WarmForkResult, error) {
 
 	// Warm once, checkpoint the quiescent cluster.
 	warmStart := time.Now()
-	_, cl, sess, err := cfg.buildCell()
+	warmEnv, cl, sess, err := cfg.buildCell()
 	if err != nil {
 		return out, err
 	}
+	defer warmEnv.Close()
 	if _, err := sess.RunPhaseSeed(0, cfg.WarmDuration, warmSeed); err != nil {
 		return out, err
 	}
@@ -167,6 +169,7 @@ func RunWarmForkGrid(cfg WarmForkConfig) (WarmForkResult, error) {
 		if err != nil {
 			panic(err)
 		}
+		defer env.Close()
 		if _, err := s.RunPhaseSeed(0, cfg.WarmDuration, warmSeed); err != nil {
 			panic(err)
 		}
@@ -189,6 +192,7 @@ func RunWarmForkGrid(cfg WarmForkConfig) (WarmForkResult, error) {
 		if err != nil {
 			panic(err)
 		}
+		defer env.Close()
 		restoreStart := time.Now()
 		if err := cl.RestoreTrusted(ckpt); err != nil {
 			panic(fmt.Sprintf("bench: warm-fork restore (seed %d): %v", cell.Seed, err))

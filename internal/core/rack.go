@@ -166,6 +166,14 @@ func (r *Rack) NodeRecv(p *sim.Proc, node int, conn Conn, want int) []byte {
 // exhaustion) and returns the final window end.
 func (r *Rack) Run(horizon sim.Time) sim.Time { return r.Kernel.Run(horizon) }
 
+// Close releases every shard domain's environment (see sim.Env.Close):
+// the nodes' parked processes are unwound. The rack cannot run again.
+func (r *Rack) Close() {
+	for _, d := range r.Kernel.Domains() {
+		d.Env().Close()
+	}
+}
+
 // Stats returns the shard kernel's synchronization counters.
 func (r *Rack) Stats() shard.Stats { return r.Kernel.Stats() }
 

@@ -1,6 +1,8 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation
 // kernel in the style of SimPy: a single logical timeline, an event
-// queue ordered by (time, sequence), and cooperative goroutine-backed
+// queue ordered by (time, sequence), and cooperative coroutine-backed
 // processes that park on the scheduler and are resumed one at a time.
 //
 // Exactly one goroutine (either the Run caller or the currently
@@ -19,14 +21,17 @@
 //     hot park/resume paths (Sleep, Yield, wake) allocate nothing;
 //   - events scheduled for the current instant bypass the heap through
 //     a FIFO lane (Yield/wake bursts are O(1) per event);
-//   - control transfers directly from the parking process to the next
-//     process (one channel handoff) instead of bouncing through a
-//     scheduler goroutine (two handoffs).
+//   - a parking process keeps dispatching on its own stack until the
+//     next event belongs to another goroutine process; only then does
+//     it switch back to the Run loop, which resumes that process. Both
+//     switches are runtime coroutine switches (iter.Pull), which need
+//     no scheduler run queue, futex or idle-P wakeup.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"sync/atomic"
 	"time"
 )
@@ -84,8 +89,14 @@ type Env struct {
 
 	horizon Time // active Run horizon (<0: run to exhaustion)
 	running bool // a Run is in progress (re-entrancy guard)
+	closed  bool // Close has unwound the goroutine procs
 
-	yield chan struct{} // end-of-chain signal back to the Run caller
+	// procs holds the goroutine procs that have not finished (parked or
+	// not yet started), in no particular order; Proc.slot indexes it.
+	// switchTo is the goroutine proc the Run loop resumes next, set by
+	// the proc that hands the dispatch role off before it switches back.
+	procs    []*Proc
+	switchTo *Proc
 
 	live  int    // processes spawned and not yet terminated
 	steps uint64 // events dispatched (diagnostics)
@@ -98,7 +109,7 @@ type Env struct {
 	segments   uint64       // flow segments emitted (CountSegment calls)
 	segFrames  uint64       // frames carried by those segments
 	parks      uint64       // goroutine-proc parks (each costs a dispatch handoff)
-	handoffs   uint64       // channel handoffs between dispatching goroutines
+	handoffs   uint64       // dispatch-role handoffs between goroutine procs and Run
 	hdispatch  uint64       // handler-proc bodies dispatched inline
 	chainDepth int          // live inline Chain nesting (runaway-recursion guard)
 }
@@ -170,7 +181,7 @@ func DefaultHandlerProcs() bool { return !handlerOff.Load() }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{yield: make(chan struct{}), horizon: -1, fuse: !fusionOff.Load(), hproc: !handlerOff.Load()}
+	e := &Env{horizon: -1, fuse: !fusionOff.Load(), hproc: !handlerOff.Load()}
 	if wireFrameOnly.Load() {
 		e.wireFid = WireFrame
 	} else {
@@ -292,9 +303,14 @@ func (e *Env) next() (event, bool) {
 // final simulation time. Events beyond the horizon remain queued, so
 // Run may be called again to continue. Run is not re-entrant: calling
 // it from inside a process or callback panics with ErrReentrantRun.
+// A panic in a process body or callback propagates out of Run; the
+// environment is unusable afterwards except for Close.
 func (e *Env) Run(horizon Time) Time {
 	if e.running {
 		panic(ErrReentrantRun)
+	}
+	if e.closed {
+		panic("sim: Env.Run on a closed environment")
 	}
 	e.running = true
 	defer func() { e.running = false }()
@@ -309,14 +325,14 @@ func (e *Env) Run(horizon Time) Time {
 		if ev.proc != nil {
 			if ev.proc.hfn != nil {
 				// Handler procs run to completion right here on the
-				// dispatching goroutine: no handoff, no channel ops.
+				// dispatching goroutine: no handoff, no switch.
 				e.runHandler(ev.proc)
 				continue
 			}
 			// Hand the dispatch role to the process; control returns
 			// here only when the whole chain of handoffs ends.
 			e.handoff(ev.proc)
-			<-e.yield
+			e.resume()
 			continue
 		}
 		ev.fn()
@@ -404,10 +420,10 @@ type Stats struct {
 	SegFrames uint64 // frames carried inside those segments
 
 	// The park/handoff tax, first-class: every goroutine-proc park
-	// costs at least one channel handoff to move the dispatch role;
+	// costs at least one coroutine handoff to move the dispatch role;
 	// handler dispatches are the same wakes served inline for free.
 	Parks             uint64 // goroutine-proc parks
-	Handoffs          uint64 // channel handoffs between dispatching goroutines
+	Handoffs          uint64 // dispatch-role handoffs between goroutine procs and Run
 	HandlerDispatches uint64 // handler-proc bodies invoked inline
 }
 
@@ -428,13 +444,26 @@ func (e *Env) Stats() Stats {
 	}
 }
 
-// handoff resumes p, transferring the dispatch role to its goroutine.
+// handoff names p as the goroutine proc the Run loop resumes next,
+// transferring the dispatch role to it once the current holder has
+// switched back to Run (or, from Run itself, at once).
 func (e *Env) handoff(p *Proc) {
 	if p.dead {
 		panic("sim: resuming terminated process " + p.name)
 	}
 	e.handoffs++
-	p.resume <- struct{}{}
+	e.switchTo = p
+}
+
+// resume switches into goroutine procs until the chain of handoffs
+// ends. Each switch returns when the proc parks or exits, having named
+// the next proc to resume (or none: the queue is exhausted or the next
+// event lies beyond the horizon).
+func (e *Env) resume() {
+	for p := e.switchTo; p != nil; p = e.switchTo {
+		e.switchTo = nil
+		p.next()
+	}
 }
 
 // runHandler invokes a handler proc's body inline on the dispatching
@@ -449,18 +478,18 @@ func (e *Env) runHandler(p *Proc) {
 	p.hfn(p.hctx)
 }
 
-// dispatchFrom runs the event loop on the goroutine of the parked
-// process self: either the next events belong to other processes or
-// callbacks (self keeps dispatching, then hands off and waits), or the
-// chain ends (self signals the Run caller and waits). It returns when
-// self has been resumed.
+// dispatchFrom runs the event loop on the coroutine of the parked
+// process self: callbacks, handler procs and self's own wakeup run
+// inline here. When the next event belongs to another goroutine proc,
+// self hands it the dispatch role and switches back to the Run loop,
+// which resumes it; when the chain ends, self switches back with no
+// successor. It returns when self has been resumed.
 func (e *Env) dispatchFrom(self *Proc) {
 	for {
 		ev, ok := e.next()
 		if !ok {
 			e.handoffs++
-			e.yield <- struct{}{}
-			<-self.resume
+			self.suspend()
 			return
 		}
 		e.now = ev.at
@@ -474,7 +503,7 @@ func (e *Env) dispatchFrom(self *Proc) {
 				continue
 			}
 			e.handoff(ev.proc)
-			<-self.resume
+			self.suspend()
 			return
 		}
 		//dcslint:allow noalloc kernel event dispatch; scheduled fns are judged at their creation sites
@@ -482,15 +511,15 @@ func (e *Env) dispatchFrom(self *Proc) {
 	}
 }
 
-// dispatchExit runs the event loop on the goroutine of a terminating
+// dispatchExit runs the event loop on the coroutine of a terminating
 // process until the dispatch role can be handed to another process or
-// back to the Run caller; the goroutine then exits.
+// back to the Run caller; the coroutine then ends and Run resumes the
+// successor, if any.
 func (e *Env) dispatchExit() {
 	for {
 		ev, ok := e.next()
 		if !ok {
 			e.handoffs++
-			e.yield <- struct{}{}
 			return
 		}
 		e.now = ev.at
@@ -507,20 +536,29 @@ func (e *Env) dispatchExit() {
 	}
 }
 
-// Proc is a simulation process: a goroutine that runs model logic and
+// Proc is a simulation process: a coroutine that runs model logic and
 // parks on the scheduler whenever it waits for simulated time or for a
 // synchronization object.
 //
 // A Proc with hfn set is the second flavor — a handler proc (see
-// SpawnHandler): it has no goroutine and no resume channel, and its
-// wake events invoke hfn inline on the dispatching goroutine. Both
-// flavors share one wake/enqueue path and one waiter representation,
-// so sync primitives and schedules are identical across flavors.
+// SpawnHandler): it has no coroutine, and its wake events invoke hfn
+// inline on the dispatching goroutine. Both flavors share one
+// wake/enqueue path and one waiter representation, so sync primitives
+// and schedules are identical across flavors.
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{}
 	dead   bool
+	killed bool // Close is unwinding the body
+	slot   int  // index in env.procs while the proc has not finished
+
+	// The iter.Pull coroutine: next switches into the body (Run loop
+	// side), yield switches back out (body side), stop unwinds a parked
+	// body. All three are dropped when the proc finishes, because they
+	// pin everything the body captured.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	hfn  func(*HandlerCtx) // handler body; non-nil marks a handler proc
 	hctx *HandlerCtx       // the body's context, allocated once at spawn
@@ -538,17 +576,86 @@ func (p *Proc) Now() Time { return p.env.now }
 // Spawn creates a process and schedules it to start immediately (at
 // the current simulation time, after already-queued events).
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	if e.closed {
+		panic("sim: Spawn on a closed environment")
+	}
+	p := &Proc{env: e, name: name, slot: len(e.procs)}
+	e.procs = append(e.procs, p)
 	e.live++
-	go func() {
-		<-p.resume // wait for the scheduler to start us
-		fn(p)
-		p.dead = true
-		e.live--
-		e.dispatchExit()
-	}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		if p.body(fn) {
+			e.dispatchExit()
+		}
+	})
 	e.enqueue(e.now, event{proc: p})
 	return p
+}
+
+// errProcKilled is the panic that unwinds a parked proc's body when
+// Close stops its coroutine; Spawn's wrapper recovers it.
+var errProcKilled = errors.New("sim: process unwound by Env.Close")
+
+// body runs fn on the proc's coroutine and retires the proc however fn
+// ends. It reports false when Close unwound fn, in which case the proc
+// must not dispatch further events.
+func (p *Proc) body(fn func(*Proc)) (exited bool) {
+	defer func() {
+		if p.killed {
+			// errProcKilled, or whatever a deferred call in the body
+			// panicked with while it was being unwound.
+			recover()
+		}
+		p.retire()
+	}()
+	fn(p)
+	return !p.killed
+}
+
+// retire marks a goroutine proc finished, removes it from env.procs
+// and drops its coroutine closures so nothing the body captured stays
+// reachable through the Proc.
+func (p *Proc) retire() {
+	e := p.env
+	p.dead = true
+	e.live--
+	if !e.closed { // Close has already detached the list
+		last := e.procs[len(e.procs)-1]
+		e.procs[p.slot] = last
+		last.slot = p.slot
+		e.procs[len(e.procs)-1] = nil
+		e.procs = e.procs[:len(e.procs)-1]
+	}
+	p.next, p.yield, p.stop = nil, nil, nil
+}
+
+// Close releases the environment: every goroutine proc that has not
+// finished (parked, or spawned and never started) is unwound, so its
+// coroutine exits and stops pinning what its body captured, and the
+// event queue is dropped. A parked proc resumes inside park, which
+// panics with a sentinel that Spawn's wrapper recovers, so deferred
+// calls in the body run. Close is idempotent; Run and Spawn panic on a
+// closed environment, and so does Close while a Run is in progress.
+func (e *Env) Close() {
+	if e.running {
+		panic("sim: Env.Close called while the simulation is running")
+	}
+	if e.closed {
+		return
+	}
+	e.closed = true
+	procs := e.procs
+	e.procs = nil
+	for _, p := range procs {
+		p.killed = true
+		p.stop()
+		if !p.dead { // never started: the body never ran to retire it
+			p.retire()
+		}
+	}
+	// Dropped last: deferred calls in the unwound bodies may schedule.
+	e.heap, e.fifo, e.fifoHead = nil, nil, 0
+	e.live = 0 // handler procs own no coroutine; they end with the env
 }
 
 // HandlerCtx is the context of one handler proc: a run-to-completion
@@ -613,14 +720,28 @@ func (h *HandlerCtx) Exit() {
 }
 
 // park returns control to the scheduler until the process is woken.
-// The parking goroutine itself becomes the dispatcher, so the common
-// case (another process runs next) costs one channel handoff.
+// The parking coroutine itself becomes the dispatcher, so the common
+// case (another process runs next) costs one handoff: a switch back to
+// the Run loop and one into the next process.
 func (p *Proc) park() {
 	if p.hfn != nil {
 		panic("sim: handler proc " + p.name + " called a blocking API (re-arm on a Signal/Cond edge or use the non-blocking H variants instead)")
 	}
+	if p.killed {
+		panic(errProcKilled) // a deferred call blocked while Close unwinds the body
+	}
 	p.env.parks++
 	p.env.dispatchFrom(p)
+}
+
+// suspend switches from the proc's coroutine back to the Run loop and
+// returns when the Run loop resumes the proc. It panics with
+// errProcKilled when Close stops the coroutine instead.
+func (p *Proc) suspend() {
+	//dcslint:allow noalloc coroutine switch back to Run; BenchmarkKernelParkResume pins it at 0 allocs/op
+	if !p.yield(struct{}{}) {
+		panic(errProcKilled)
+	}
 }
 
 // wake schedules p to resume at the current time.
