@@ -44,15 +44,12 @@ func main() {
 	benchjson := flag.String("benchjson", "", "write a kernel+wall-time perf report (BENCH_kernel.json) to this file")
 	dataplanejson := flag.String("dataplanejson", "", "write the data-plane microbenchmark report (BENCH_dataplane.json) to this file")
 	wire := flag.String("wire", "flow", "wire model fidelity: flow (analytic fast path, default) or frame (every frame simulated)")
-	handler := flag.Bool("handler", true, "dispatch converted loops as run-to-completion handler procs (false = goroutine procs, the A/B reference)")
 	nodes := flag.Int("nodes", 64, "rack experiment: node count")
 	domains := flag.Int("domains", 4, "rack experiment: shard domains (1 = serial reference)")
 	checkpoint := flag.String("checkpoint", "", "write a warm checkpoint artifact (gzip) to this file or directory and exit")
 	restore := flag.String("restore", "", "restore a checkpoint artifact, verify the round-trip byte-for-byte, and exit")
 	warmfork := flag.Bool("warmfork", false, "run the warm-fork grid experiment (alias for -only warmfork)")
 	flag.Parse()
-
-	sim.SetDefaultHandlerProcs(*handler)
 
 	switch *wire {
 	case "flow":

@@ -34,25 +34,16 @@ func runsOf(f *hostos.File, off, nbytes int) []ioRun {
 }
 
 // collectCompletion funnels one command-completion signal into the
-// caller's tally queue. Under handler procs the collector is a
-// run-to-completion machine (enrolls on the signal, fires the tally,
-// exits — no goroutine park/resume handoffs); otherwise it is the
-// classic goroutine form. Both enqueue exactly the same events.
+// caller's tally queue: a one-shot handler proc waits on the signal,
+// puts one tally, and exits.
 func (n *Node) collectCompletion(name string, sig *sim.Signal, done *sim.Queue[int]) {
-	if n.Env.HandlerProcs() {
-		n.Env.SpawnHandler(name, func(h *sim.HandlerCtx) {
-			if !sig.WaitH(h) {
-				return
-			}
-			done.Put(1)
-			h.Exit()
-		})
-	} else {
-		n.Env.Spawn(name, func(cp *sim.Proc) {
-			sig.Wait(cp)
-			done.Put(1)
-		})
-	}
+	n.Env.SpawnHandler(name, func(h *sim.HandlerCtx) {
+		if !sig.WaitH(h) {
+			return
+		}
+		done.Put(1)
+		h.Exit()
+	})
 }
 
 // hostReadFile reads a file range to dst (any bus address the SSD may

@@ -55,10 +55,8 @@ func (n *Node) netRxCost(k int) sim.Time {
 }
 
 // deliverNetRx is the charge-free tail of one receive poll: parse,
-// reassemble connection streams, wake readers, repost buffers. Shared
-// by the goroutine and handler flavors of the receive service so the
-// two stay byte-identical. segs is caller-owned scratch, returned for
-// reuse.
+// reassemble connection streams, wake readers, repost buffers. segs is
+// caller-owned scratch, returned for reuse.
 func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg) []rxSeg {
 	segs = segs[:0]
 	for _, f := range fills {
@@ -103,27 +101,6 @@ func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg
 	return segs
 }
 
-// netRxLoop is the host receive service (softirq/NAPI analogue): it
-// drains NIC completions, charges per-frame network-stack cost,
-// reassembles connection streams, and reposts buffers.
-func (n *Node) netRxLoop(p *sim.Proc, recv *nic.RecvRing) {
-	var fills []nic.Filled // scratch, reused across wakes
-	var segs []rxSeg       // scratch, reused across wakes
-	for {
-		fills = recv.AppendPoll(fills[:0])
-		if len(fills) == 0 {
-			// Re-arm with the current ack before parking; completions
-			// that raced in trigger an immediate interrupt (NAPI's
-			// re-enable-then-repoll race closure).
-			recv.Arm()
-			n.rxWake.Wait(p)
-			continue
-		}
-		n.Host.Exec(p, trace.CatNetStack, n.netRxCost(len(fills)), nil)
-		segs = n.deliverNetRx(recv, fills, segs)
-	}
-}
-
 // netRxState enumerates where the handler receive service resumes.
 type netRxState int
 
@@ -132,9 +109,11 @@ const (
 	nrExec                   // batch stack charge in progress
 )
 
-// netRxMachine is the handler flavor of netRxLoop: the same poll /
-// arm-and-wait / charge / deliver cycle as a run-to-completion state
-// machine (DESIGN.md §16).
+// netRxMachine is the host receive service (softirq/NAPI analogue),
+// one per RSS queue, run as a handler proc (DESIGN.md §16): it drains
+// the queue's NIC completions, charges the batch's network-stack cost,
+// reassembles connection streams, and reposts buffers; with nothing to
+// poll it re-arms the queue and waits for the next interrupt.
 type netRxMachine struct {
 	n     *Node
 	recv  *nic.RecvRing
@@ -152,9 +131,10 @@ func (m *netRxMachine) run(h *sim.HandlerCtx) {
 		case nrPoll:
 			m.fills = m.recv.AppendPoll(m.fills[:0])
 			if len(m.fills) == 0 {
-				// Re-arm then enroll, closing the same re-enable race as
-				// the goroutine's Arm-before-Wait; every broadcast
-				// redispatches here and re-polls.
+				// Re-arm with the current ack before enrolling;
+				// completions that raced in trigger an immediate
+				// interrupt (NAPI's re-enable-then-repoll race closure).
+				// Every broadcast redispatches here and re-polls.
 				m.recv.Arm()
 				n.rxWake.WaitH(h)
 				return

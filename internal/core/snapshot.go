@@ -172,13 +172,11 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 
 // snapFlags encodes the kernel knobs the schedule depends on; a
 // snapshot only restores into a cluster running the same knobs.
+// FlagHandlerProcs is always set (see its definition).
 func (c *Cluster) snapFlags() uint32 {
-	var f uint32
+	f := snap.FlagHandlerProcs
 	if c.Env.Fusion() {
 		f |= snap.FlagFusion
-	}
-	if c.Env.HandlerProcs() {
-		f |= snap.FlagHandlerProcs
 	}
 	if c.Env.WireFidelity() == sim.WireFlow {
 		f |= snap.FlagWireFlow

@@ -1,11 +1,10 @@
 package nic
 
-// Run-to-completion handler-proc flavors of the NIC receive loops
-// (DESIGN.md §16). Each machine replays its goroutine twin statement
-// for statement: the same queue operations in the same order, the
-// same occupancy sleeps (as re-arms), and the same flush DMA (as a
-// pcie.XferVec) — so the event sequence, and therefore every golden
-// fingerprint, is byte-identical across flavors.
+// The NIC's demux and receive-completion stages, written as
+// run-to-completion handler procs (DESIGN.md §16): each is a state
+// machine that runs inline on the dispatcher and re-arms instead of
+// parking. Occupancy is charged with Rearm, waits use the *H
+// primitives, and the completion flush is a pcie.XferVec.
 
 import (
 	"dcsctrl/internal/ether"
@@ -22,9 +21,15 @@ const (
 	rxsStall                     // a queue FIFO is full; waiting for space
 )
 
-// rxDemuxMachine is the handler flavor of rxLoop: verify, parse,
-// steer. The burst slice persists across dispatches, exactly like the
-// goroutine's loop-local scratch.
+// rxDemuxMachine is the shared demux stage: verify, parse, steer.
+// It takes same-instant arrivals as one burst, charges one demux
+// occupancy for the whole burst (interrupt-coalescing analogue: the
+// per-frame cost is uniform, so k*RxDemux either way), then hands each
+// parsed frame to its queue's FIFO, stalling while that FIFO is full
+// (port-level pause). Heavy per-frame work (descriptor fetch, payload
+// DMA, completions) happens in the per-queue pipelines so receive
+// throughput scales with queues. The burst slice is scratch reused
+// across bursts.
 type rxDemuxMachine struct {
 	n     *NIC
 	st    rxDemuxState
@@ -54,9 +59,8 @@ func (m *rxDemuxMachine) run(h *sim.HandlerCtx) {
 				}
 				m.burst = append(m.burst, f2)
 			}
-			// One demux occupancy per arrival burst, mirroring the
-			// goroutine's Sleep (a zero charge falls through inline the
-			// way Sleep(0) returns without an event).
+			// One demux occupancy per arrival burst; a zero charge
+			// falls through inline without an event.
 			m.i = 0
 			m.st = rxsDemux
 			if d := sim.Time(len(m.burst)) * n.params.RxDemux; d > 0 {
@@ -65,6 +69,9 @@ func (m *rxDemuxMachine) run(h *sim.HandlerCtx) {
 			}
 		case rxsDemux:
 			for m.i < len(m.burst) {
+				// The view-parsed payload aliases frame; both travel
+				// together in the rxFrame and the payload is copied into
+				// the receive buffer before the frame is recycled.
 				frame := m.burst[m.i]
 				seg, err := ether.ParseView(frame)
 				if err != nil {
@@ -98,8 +105,8 @@ func (m *rxDemuxMachine) run(h *sim.HandlerCtx) {
 			}
 			m.st = rxsGet
 		case rxsStall:
-			// Re-check on every broadcast, like the goroutine's
-			// for-Wait loop; the frame was already parsed.
+			// Re-check on every broadcast; the frame was already
+			// parsed.
 			q := m.stallQ
 			if q.rxFIFO.Len() >= rxQueueCap {
 				q.rxSpace.WaitH(h)
@@ -122,8 +129,10 @@ const (
 	csFlush                     // flush DMA in progress
 )
 
-// rxCplMachine is the handler flavor of rxCplLoop: in-order DMA
-// retirement, slot recycling, coalesced completion flushes.
+// rxCplMachine is one queue's completer: it retires receive DMAs in
+// issue order, recycles their tag slots, and writes coalesced
+// completion entries plus the status counter in one flush DMA, then
+// fires the (armed) interrupt.
 type rxCplMachine struct {
 	n    *NIC
 	q    *nicQueue

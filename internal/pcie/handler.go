@@ -1,18 +1,14 @@
 package pcie
 
 // Run-to-completion handler-proc machinery for the fabric (DESIGN.md
-// §16). Xfer and XferVec replay one (*Fabric).DMA / (*Fabric).DMAVec
-// call as an explicit state machine a handler proc can drive without
-// ever parking: every Sleep becomes a Rearm, every bandwidth-server
-// Transfer becomes the staged AcquireH / HoldTime / CompleteH triple,
-// and fault draws happen at exactly the instants the goroutine path
-// draws them — so the two flavors consume identical event sequences
-// and the deterministic fault streams never diverge.
-//
-// The pooled async-DMA worker has both flavors: DMAAsync spawns the
-// handler machine (dmaWorker) when the environment runs handler procs
-// and the classic goroutine loop otherwise. Both park on the same
-// asyncJobs queue, so the warm hand-off path is flavor-blind.
+// §16). Xfer and XferVec perform one DMA / DMAVec as an explicit state
+// machine a handler proc can drive without ever parking: each stage
+// delay is a Rearm, each bandwidth-server occupancy is the staged
+// AcquireH / HoldTime / CompleteH triple, and fault draws happen at the
+// same pipeline stages as in (*Fabric).DMA — so a transfer costs the
+// same whether a handler proc or a goroutine proc issues it, and the
+// deterministic fault streams stay shared. dmaWorker, the pooled
+// async-DMA worker, is built on Xfer.
 
 import (
 	"fmt"
@@ -24,8 +20,7 @@ import (
 
 // xferState enumerates where an Xfer resumes after a re-arm. States
 // are ordered along the store-and-forward pipeline; zero-duration
-// stages fall through inline exactly where the goroutine path's
-// Sleep(0) would return without an event.
+// stages fall through inline without an event, as Sleep(0) does.
 type xferState int
 
 const (
@@ -84,9 +79,9 @@ func (x *Xfer) Active() bool { return x.st != xferIdle }
 // Step advances the transfer and reports whether it completed. On
 // false the handler body must return: the machine has re-armed h or
 // enrolled it on a bandwidth server and will make progress on the
-// next dispatch. The event sequence is identical to the goroutine
-// MustDMA call it replaces — same fault draws, same per-stage sleeps,
-// same FIFO positions on every server.
+// next dispatch. The event sequence is identical to a MustDMA call —
+// same fault draws, same per-stage delays, same FIFO positions on
+// every server.
 //
 //dcslint:hotpath
 func (x *Xfer) Step(h *sim.HandlerCtx) bool {
@@ -283,9 +278,10 @@ func (v *XferVec) Step(h *sim.HandlerCtx) bool {
 	}
 }
 
-// dmaWorker is the handler flavor of the pooled async-DMA worker: the
-// same fire / re-pool / fetch-next-job loop as the goroutine worker in
-// DMAAsync, with the blocking MustDMA replaced by the Xfer machine.
+// dmaWorker is one pooled async-DMA worker: it runs its job's
+// transfer on an Xfer, fires the job's signal, returns itself to the
+// idle count, and takes the next job from the asyncJobs queue (parking
+// there when none is queued).
 type dmaWorker struct {
 	f       *Fabric
 	x       Xfer
@@ -301,7 +297,7 @@ func (w *dmaWorker) run(h *sim.HandlerCtx) {
 		if !w.hasJob {
 			job, ok := f.asyncJobs.GetH(h)
 			if !ok {
-				return // parked on the job queue, flavor-blind with the goroutine pool
+				return // parked on the job queue
 			}
 			w.job = job
 			w.hasJob = true

@@ -343,29 +343,14 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 	}
 	if f.asyncIdle > 0 {
 		// Reserve the worker now: a second DMAAsync in the same instant
-		// must not count this one as still idle. The job literal stays
-		// out of the closure below so this warm path never heap-escapes.
+		// must not count this one as still idle.
 		f.asyncIdle--
 		f.asyncJobs.Put(asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig})
 		return sig
 	}
-	job := asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig}
-	if f.env.HandlerProcs() {
-		// Handler flavor: same pool discipline, no goroutine and no
-		// park/resume handoffs. The machine and its bound body are
-		// created once per pooled worker, like the goroutine's stack.
-		w := &dmaWorker{f: f, job: job, hasJob: true}
-		f.env.SpawnHandler("dma-async", w.run)
-		return sig
-	}
-	f.env.Spawn("dma-async", func(p *sim.Proc) {
-		for {
-			f.MustDMA(p, job.initiator, job.dst, job.src, job.n)
-			job.sig.Fire(nil)
-			f.asyncIdle++
-			job = f.asyncJobs.Get(p)
-		}
-	})
+	// Every worker is busy: grow the pool by one, handing it this job.
+	w := &dmaWorker{f: f, job: asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig}, hasJob: true}
+	f.env.SpawnHandler("dma-async", w.run)
 	return sig
 }
 
@@ -380,20 +365,7 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 func (f *Fabric) PrimeAsyncPool(n int) {
 	for i := 0; i < n; i++ {
 		f.asyncIdle++
-		if f.env.HandlerProcs() {
-			w := &dmaWorker{f: f}
-			f.env.SpawnHandler("dma-async", w.run)
-			continue
-		}
-		f.env.Spawn("dma-async", func(p *sim.Proc) {
-			job := f.asyncJobs.Get(p)
-			for {
-				f.MustDMA(p, job.initiator, job.dst, job.src, job.n)
-				job.sig.Fire(nil)
-				f.asyncIdle++
-				job = f.asyncJobs.Get(p)
-			}
-		})
+		f.env.SpawnHandler("dma-async", (&dmaWorker{f: f}).run)
 	}
 }
 

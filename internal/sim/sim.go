@@ -102,7 +102,6 @@ type Env struct {
 	steps uint64 // events dispatched (diagnostics)
 
 	fuse       bool         // zero-delay fusion enabled (Chain inline, Yield fast path)
-	hproc      bool         // converted model paths spawn handler procs
 	fused      uint64       // continuations run inline instead of enqueued
 	ios        uint64       // protocol-level I/O completions (CountIO)
 	wireFid    WireFidelity // wire model fidelity (per-frame vs flow segments)
@@ -163,25 +162,9 @@ func DefaultWireFidelity() WireFidelity {
 	return WireFlow
 }
 
-// handlerOff inverts the package default so the zero value means
-// handler procs are ON, mirroring fusionOff above. The knob selects
-// which process flavor the converted model paths (pcie async-DMA
-// workers, NIC demux/completion loops, hostnet rx delivery) spawn;
-// the kernel itself always dispatches both flavors.
-var handlerOff atomic.Bool
-
-// SetDefaultHandlerProcs sets whether environments created after this
-// call run the converted model loops as run-to-completion handler
-// procs (on) or classic goroutine procs (off). It exists for A/B
-// equivalence testing; production code leaves handler procs on.
-func SetDefaultHandlerProcs(on bool) { handlerOff.Store(!on) }
-
-// DefaultHandlerProcs reports the current package-wide default.
-func DefaultHandlerProcs() bool { return !handlerOff.Load() }
-
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{horizon: -1, fuse: !fusionOff.Load(), hproc: !handlerOff.Load()}
+	e := &Env{horizon: -1, fuse: !fusionOff.Load()}
 	if wireFrameOnly.Load() {
 		e.wireFid = WireFrame
 	} else {
@@ -195,15 +178,6 @@ func (e *Env) SetFusion(on bool) { e.fuse = on }
 
 // Fusion reports whether zero-delay fusion is enabled for this env.
 func (e *Env) Fusion() bool { return e.fuse }
-
-// SetHandlerProcs overrides the handler-proc flavor selection for this
-// environment only. Call it before any model is built: spawn sites
-// latch the flavor at construction time.
-func (e *Env) SetHandlerProcs(on bool) { e.hproc = on }
-
-// HandlerProcs reports whether converted model paths in this
-// environment spawn handler procs.
-func (e *Env) HandlerProcs() bool { return e.hproc }
 
 // SetWireFidelity overrides the wire fidelity for this environment
 // only. Call it before any model activity: devices latch per-flow

@@ -37,7 +37,7 @@ const Version uint32 = 1
 // running another: the event timelines diverge from the first event.
 const (
 	FlagFusion       uint32 = 1 << 0 // zero-delay fusion enabled
-	FlagHandlerProcs uint32 = 1 << 1 // handler-proc flavor enabled
+	FlagHandlerProcs uint32 = 1 << 1 // always set; handler procs are the only model flavor
 	FlagWireFlow     uint32 = 1 << 2 // flow-level wire fidelity
 )
 

@@ -1,8 +1,9 @@
 // Parallel-equivalence suite for the sharded rack kernel: the
 // conservative parallel DES must produce byte-identical results at
 // ANY worker count and ANY domain decomposition — including uneven
-// node/domain splits and runs with fault injection live. CI runs
-// this file under -race across the seed matrix: domains share no
+// node/domain splits, runs with fault injection live, and runs with
+// the kernel fast paths (fusion, flow wire model) switched off. CI
+// runs this file under -race across the seed matrix: domains share no
 // state and the coordinator owns the fabric, so the race detector
 // must stay silent while the fingerprints stay constant.
 package dcsctrl_test
@@ -12,6 +13,7 @@ import (
 
 	"dcsctrl/internal/bench"
 	"dcsctrl/internal/fault"
+	"dcsctrl/internal/sim"
 )
 
 // equivSeeds is the seed matrix: the pinned default plus seeds that
@@ -103,6 +105,44 @@ func TestRackEquivFaults(t *testing.T) {
 						profile.Name, seed, domains, res.RxErrors, ref.RxErrors)
 				}
 			}
+		}
+	}
+}
+
+// TestRackEquivKnobs crosses the two schedule-preserving kernel fast
+// paths — continuation fusion and the flow-level wire model — over the
+// seed matrix on a 2-domain rack: every combination must reproduce the
+// pinned goldenRack fingerprint and makespan. Event counts are not
+// compared: fusion and flow segments exist to elide events.
+func TestRackEquivKnobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fusion × wire-fidelity × seed matrix")
+	}
+	knobs := []struct {
+		fusion bool
+		wire   sim.WireFidelity
+	}{
+		{true, sim.WireFrame},
+		{false, sim.WireFlow},
+		{false, sim.WireFrame},
+	}
+	for _, seed := range equivSeeds {
+		want := goldenRack[rackGoldenKey{seed, 2}]
+		for _, k := range knobs {
+			withFusion(t, k.fusion, func() {
+				prev := sim.DefaultWireFidelity()
+				sim.SetDefaultWireFidelity(k.wire)
+				defer sim.SetDefaultWireFidelity(prev)
+				res := bench.RunRack(goldenRackConfig(seed, 2))
+				if fp := res.Fingerprint(); fp != want.fingerprint {
+					t.Errorf("seed %d fusion=%v wire=%v: fingerprint %s, want %s",
+						seed, k.fusion, k.wire, fp, want.fingerprint)
+				}
+				if res.Makespan != want.makespan {
+					t.Errorf("seed %d fusion=%v wire=%v: makespan %d, want %d",
+						seed, k.fusion, k.wire, res.Makespan, want.makespan)
+				}
+			})
 		}
 	}
 }
