@@ -255,7 +255,7 @@ func (s *SwiftSession) RunPhaseSeed(warmup, duration sim.Time, phaseSeed uint64)
 				t0 := p.Now()
 				cl.ClientSend(p, pr.ctrl, encodeReq(req.Kind, req.Size, reqID))
 				if req.Kind == workload.OpGET {
-					cl.ClientRecv(p, pr.data, req.Size)
+					cl.ClientDrain(p, pr.data, req.Size)
 				} else {
 					cl.ClientRecv(p, pr.ctrl, reqSize) // 100-continue
 					cl.ClientSend(p, pr.data, payload[:req.Size])

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -183,10 +184,12 @@ func RunRack(cfg RackConfig) RackResult {
 		})
 		r.Nodes[f.dst].Env.Spawn(fmt.Sprintf("flow%05d-rx", idx), func(p *sim.Proc) {
 			got := r.NodeRecv(p, f.dst, conn, f.bytes)
-			for j := range got {
-				if got[j] != payload[j] {
-					panic(fmt.Sprintf("bench: flow %d byte %d corrupted in transit", idx, j))
+			if !bytes.Equal(got, payload) {
+				j := 0
+				for j < len(got) && got[j] == payload[j] {
+					j++
 				}
+				panic(fmt.Sprintf("bench: flow %d byte %d corrupted in transit", idx, j))
 			}
 			done[idx] = p.Now()
 		})

@@ -98,6 +98,13 @@ func (c *Cluster) ClientRecv(p *sim.Proc, conn Conn, n int) []byte {
 	return c.Client.hostNetRecv(p, trace.NewBreakdown(), conn.ID, n)
 }
 
+// ClientDrain is ClientRecv for bytes the caller discards: it blocks
+// until the client has received n bytes on the connection and consumes
+// them, with the same simulated costs, without copying them out.
+func (c *Cluster) ClientDrain(p *sim.Proc, conn Conn, n int) {
+	c.Client.hostNetDrain(p, trace.NewBreakdown(), conn.ID, n)
+}
+
 // ServerRecv receives on a host-terminated server connection (control
 // messages; works on every configuration).
 func (c *Cluster) ServerRecv(p *sim.Proc, bd *trace.Breakdown, conn Conn, n int) []byte {

@@ -60,7 +60,7 @@ func (n *Node) netRxCost(k int) sim.Time {
 func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg) []rxSeg {
 	segs = segs[:0]
 	for _, f := range fills {
-		// View: the payload is copied into c.stream before the
+		// View: the payload is appended to c.stream before the
 		// buffer is reposted by postRecvBuffers below.
 		frame := n.MM.View(f.Addr, int(f.Cpl.HdrLen)+int(f.Cpl.PayLen))
 		seg, err := ether.ParseView(frame)
@@ -80,22 +80,15 @@ func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg
 	}
 	// Segment-granularity delivery: a poll batch of a bulk stream is
 	// a run of contiguous frames for one connection (the flow fast
-	// path delivers whole segments this way). Reserve each run's
-	// bytes at once so reassembly compacts/grows per run, not per
-	// frame. Purely a data-structure change — stream contents,
-	// rxSeq advancement, and all charged costs are unchanged.
+	// path delivers whole segments this way), appended under one
+	// reservation and woken once.
 	for i := 0; i < len(segs); {
-		j, runBytes := i, 0
-		for ; j < len(segs) && segs[j].c == segs[i].c; j++ {
-			runBytes += len(segs[j].payload)
+		j := i + 1
+		for j < len(segs) && segs[j].c == segs[i].c {
+			j++
 		}
-		segs[i].c.reserveStream(runBytes)
-		c := segs[i].c
-		for ; i < j; i++ {
-			segs[i].c.pushStream(segs[i].payload)
-		}
-		// Wake only this connection's readers, once per run.
-		c.avail.Broadcast()
+		segs[i].c.pushRun(segs[i:j])
+		i = j
 	}
 	n.postRecvBuffers(recv)
 	return segs
@@ -155,33 +148,60 @@ func (m *netRxMachine) run(h *sim.HandlerCtx) {
 // available and consumes them, charging the receive-path costs (the
 // user-copy "gathering" of scattered packet payloads).
 func (n *Node) hostNetRecv(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int) []byte {
+	c := n.hostNetRecvWait(p, bd, connID, want)
+	out := c.takeStream(want)
+	n.hostNetRecvDone(p, bd, want)
+	return out
+}
+
+// hostNetRecvTo is hostNetRecv that lands the bytes at a bus address
+// (the contiguous buffer later ops DMA from) straight from the stream.
+func (n *Node) hostNetRecvTo(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int, dst mem.Addr) {
+	c := n.hostNetRecvWait(p, bd, connID, want)
+	n.MM.Write(dst, c.peekStream(want))
+	c.dropStream(want)
+	n.hostNetRecvDone(p, bd, want)
+}
+
+// hostNetDrain is hostNetRecv for bytes the caller discards: they are
+// consumed, and every cost charged, without a copy.
+func (n *Node) hostNetDrain(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int) {
+	c := n.hostNetRecvWait(p, bd, connID, want)
+	c.dropStream(want)
+	n.hostNetRecvDone(p, bd, want)
+}
+
+// hostNetRecvWait is the receive path up to the take: charge the
+// syscall entry, reserve room for the whole message (so reassembly
+// lands it in one buffer), and block until want bytes are buffered.
+func (n *Node) hostNetRecvWait(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int) *hostConn {
 	c, ok := n.conns[connID]
 	if !ok {
 		panic(fmt.Sprintf("core: recv on unknown conn %d", connID))
 	}
 	hp := n.Params.Host
 	n.Host.Exec(p, trace.CatNetStack, hp.SyscallEntry+hp.SockRecvSetup, bd)
+	if short := want - c.streamLen(); short > 0 {
+		c.reserveStream(short)
+	}
 	start := p.Now()
 	for c.streamLen() < want {
 		c.avail.Wait(p)
 	}
 	bd.Add(trace.CatIdleWait, p.Now()-start)
-	out := c.takeStream(want)
+	return c
+}
+
+// hostNetRecvDone charges the receive path after the take: socket
+// buffer bookkeeping (Vanilla), the copy out of kernel buffers into the
+// caller's contiguous buffer, and the syscall exit.
+func (n *Node) hostNetRecvDone(p *sim.Proc, bd *trace.Breakdown, want int) {
+	hp := n.Params.Host
 	if n.Kind == Vanilla {
 		n.Host.Exec(p, trace.CatSockBuf, hp.SockBufOp, bd)
 	}
-	// Copy out of kernel buffers into the caller's contiguous buffer.
 	n.Host.Copy(p, trace.CatDataCopy, want, bd)
 	n.Host.Exec(p, trace.CatNetStack, hp.SyscallExit, bd)
-	return out
-}
-
-// hostNetRecvTo is hostNetRecv that also lands the bytes at a bus
-// address (the contiguous buffer later ops DMA from).
-func (n *Node) hostNetRecvTo(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int, dst mem.Addr) []byte {
-	data := n.hostNetRecv(p, bd, connID, want)
-	n.MM.Write(dst, data)
-	return data
 }
 
 // hostNetSend transmits nbytes from src (host DRAM, or GPU VRAM under

@@ -96,49 +96,79 @@ type hostConn struct {
 	avail *sim.Cond
 }
 
-// reserveStream guarantees room for extra more unconsumed bytes,
-// compacting the consumed prefix and growing by doubling: Go's native
-// large-slice growth (~1.25x) plus the capacity bleed of reslicing on
-// consume made reassembly a top copy cost at 40 GbE. Segment-
-// granularity deliveries (deliverNetRx) reserve a whole frame run up
-// front so the compact/grow decision runs once per run, not per frame.
+// reserveStream guarantees room for extra more unconsumed bytes. A
+// consumed prefix is compacted away when that alone makes room;
+// otherwise the unconsumed bytes move to a new buffer, sized exactly
+// when nothing is buffered (a reader's reservation of its whole
+// message, or a run arriving on an empty stream) and at least doubled
+// when bytes are already waiting (a stream running ahead of its
+// reader, where growth must amortise).
 func (c *hostConn) reserveStream(extra int) {
-	if len(c.stream)+extra > cap(c.stream) && c.rd > 0 {
-		m := copy(c.stream, c.stream[c.rd:])
-		c.stream = c.stream[:m]
-		c.rd = 0
+	if len(c.stream)+extra <= cap(c.stream) {
+		return
 	}
-	if need := len(c.stream) + extra; need > cap(c.stream) {
-		newCap := 2 * cap(c.stream)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 4096 {
-			newCap = 4096
-		}
-		ns := make([]byte, len(c.stream), newCap)
-		copy(ns, c.stream)
-		c.stream = ns
+	buffered := len(c.stream) - c.rd
+	need := buffered + extra
+	if c.rd > 0 && need <= cap(c.stream) {
+		copy(c.stream, c.stream[c.rd:])
+		c.stream, c.rd = c.stream[:buffered], 0
+		return
 	}
+	newCap := need
+	if buffered > 0 && 2*cap(c.stream) > newCap {
+		newCap = 2 * cap(c.stream)
+	}
+	ns := make([]byte, buffered, newCap)
+	copy(ns, c.stream[c.rd:])
+	c.stream, c.rd = ns, 0
 }
 
-// pushStream appends payload bytes to the reassembled stream.
-func (c *hostConn) pushStream(b []byte) {
-	c.reserveStream(len(b))
-	c.stream = append(c.stream, b...)
+// pushRun appends one poll's run of in-order segments for this
+// connection under a single reservation — usually already covered by
+// the waiting reader's — and wakes the connection's readers once.
+// Purely a data-structure choice: stream contents and every charged
+// cost are the same as appending segment by segment.
+func (c *hostConn) pushRun(run []rxSeg) {
+	n := 0
+	for _, s := range run {
+		n += len(s.payload)
+	}
+	c.reserveStream(n)
+	for _, s := range run {
+		c.stream = append(c.stream, s.payload...)
+	}
+	c.avail.Broadcast()
 }
 
 // streamLen returns the unconsumed byte count.
 func (c *hostConn) streamLen() int { return len(c.stream) - c.rd }
 
-// takeStream consumes want bytes into a fresh slice, preserving the
+// peekStream returns a view of the next want unconsumed bytes, valid
+// until the stream is next pushed to or consumed.
+func (c *hostConn) peekStream(want int) []byte { return c.stream[c.rd : c.rd+want] }
+
+// dropStream consumes want bytes without copying them, keeping the
 // buffer's capacity for the next reassembly round.
-func (c *hostConn) takeStream(want int) []byte {
-	out := append([]byte(nil), c.stream[c.rd:c.rd+want]...)
+func (c *hostConn) dropStream(want int) {
 	c.rd += want
 	if c.rd == len(c.stream) {
 		c.stream, c.rd = c.stream[:0], 0
 	}
+}
+
+// takeStream consumes want bytes and returns them. A take of the
+// whole stream hands the buffer itself over (the connection starts the
+// next message on a fresh reservation), so a reader that reserved its
+// message before it arrived gets it without a copy; a take that leaves
+// bytes behind copies out.
+func (c *hostConn) takeStream(want int) []byte {
+	if want > 0 && c.rd == 0 && want == len(c.stream) {
+		out := c.stream
+		c.stream = nil
+		return out
+	}
+	out := append([]byte(nil), c.peekStream(want)...)
+	c.dropStream(want)
 	return out
 }
 

@@ -8,6 +8,7 @@ package ether
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Frame geometry.
@@ -309,23 +310,41 @@ func tcpChecksum(src, dst IP, tcp []byte) uint16 {
 	return onesComplement(sum16(tcp, sum16(pseudo[:], 0)))
 }
 
+// sum16 adds b, as big-endian 16-bit words (an odd final byte padded
+// with zero), to the ones'-complement accumulator acc. It adds 64-bit
+// words with carry, 32 bytes per iteration, and folds the end-around
+// carry once at the end: ones'-complement addition is associative and
+// commutative and 2^16 ≡ 1 (mod 2^16-1), so the sum of 64-bit words
+// folded to 16 bits equals the sum of 16-bit words (RFC 1071 §2), and a
+// nonzero sum never folds to zero. The result is therefore bit-identical
+// to the two-bytes-at-a-time loop after onesComplement.
 func sum16(b []byte, acc uint32) uint32 {
-	// Fold four big-endian words per 8-byte load. uint32 addition is
-	// associative and commutative mod 2^32, so any regrouping of the
-	// word sums — including this one — is bit-identical to the
-	// two-bytes-at-a-time loop below.
+	s, c := uint64(acc), uint64(0)
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[0:8]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[8:16]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[16:24]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b[24:32]), c)
+		b = b[32:]
+	}
 	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b)
-		acc += uint32(v>>48) + uint32(v>>32)&0xFFFF + uint32(v>>16)&0xFFFF + uint32(v)&0xFFFF
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
 		b = b[8:]
 	}
-	for i := 0; i+1 < len(b); i += 2 {
-		acc += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	if len(b) > 0 {
+		// Zero-padding the tail keeps every byte at its offset within
+		// its 16-bit word (an odd final byte becomes a high byte).
+		var tail [8]byte
+		copy(tail[:], b)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(tail[:]), c)
 	}
-	if len(b)%2 == 1 {
-		acc += uint32(b[len(b)-1]) << 8
-	}
-	return acc
+	s, c = bits.Add64(s, 0, c)
+	s += c // end-around carry; cannot carry again
+	// Fold to 32 bits: the high and low halves are each < 2^32, so two
+	// end-around additions leave a value below 2^32.
+	s = s>>32 + s&0xFFFFFFFF
+	s = s>>32 + s&0xFFFFFFFF
+	return uint32(s)
 }
 
 func onesComplement(sum uint32) uint16 {
