@@ -278,12 +278,6 @@ func newNicNode(env *sim.Env, name string) *nicNode {
 	port := fab.AddPort(name + "-root")
 	dram := mm.AddRegion(name+"-dram", mem.HostDRAM, 16<<20, true)
 	fab.Attach(port, dram)
-	// Private fabric, one initiator, and a completion-driven rig (the
-	// echo driver only sends after the previous reply lands): the
-	// analytic flow path including plan bookings is legal end-to-end
-	// (falls back per-frame automatically under WireFrame).
-	fab.SetFlowExclusive()
-	fab.SetFlowReactive()
 	n := nic.NewNIC(env, fab, name+"-nic", nic.DefaultParams())
 	const entries = 256
 	sring := mm.AddRegion(name+"-sring", mem.HostDRAM, entries*nic.SendBDSize, true)
@@ -403,11 +397,10 @@ func benchNICEcho() DataplaneStat {
 
 // benchNICBulkStream measures one 64 KiB LSO job delivered end to end:
 // node A posts a two-BD LSO chain, the NIC segments it into 45 frames,
-// the flow fast path collapses the steady-state run into analytic
-// claims, and the op completes when B's completion hook has seen every
-// frame of the job. Completion-driven like the echo, so the reactive
-// analytic rig stays legal; the per-frame fidelity cost of the same
-// job is the events_per_op baseline this bench exists to guard.
+// the flow fast path collapses the steady-state run into wire claims,
+// and the op completes when B's completion hook has seen every frame
+// of the job. The per-frame fidelity cost of the same job is the
+// events_per_op baseline this bench exists to guard.
 func benchNICBulkStream() DataplaneStat {
 	env := sim.NewEnv()
 	defer env.Close()

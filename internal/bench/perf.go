@@ -260,18 +260,6 @@ func (r *PerfReport) RecordCheckpoint(res WarmForkResult) {
 	r.Checkpoint = cp
 }
 
-// MeasureCheckpoint runs the default warm-fork grid and records it.
-func (r *PerfReport) MeasureCheckpoint() error {
-	cfg := DefaultWarmForkConfig()
-	cfg.Workers = r.Workers
-	res, err := RunWarmForkGrid(cfg)
-	if err != nil {
-		return err
-	}
-	r.RecordCheckpoint(res)
-	return nil
-}
-
 // NewPerfReport runs the kernel microbenchmarks and returns a report
 // ready to accumulate figure timings.
 func NewPerfReport(workers int) *PerfReport {

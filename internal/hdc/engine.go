@@ -149,17 +149,6 @@ type Engine struct {
 
 	cmdsDone int64
 	dead     bool // parser suffered a hard failure; no command makes progress
-
-	tracing bool
-	traces  map[uint32]*CmdTrace
-}
-
-// CmdTrace stamps one command's milestones (for latency-decomposition
-// reporting, Figure 11's DCS-ctrl bar).
-type CmdTrace struct {
-	Posted  sim.Time // parser admitted the command
-	SrcDone sim.Time // first source chunk completed (≈ media read time)
-	Done    sim.Time // all destination operations completed
 }
 
 // NewEngine creates the engine, claims the base design's FPGA
@@ -204,7 +193,6 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 		e.extBufs = append(e.extBufs, e.ddr3.Alloc(4096, 64))
 	}
 
-	e.traces = map[uint32]*CmdTrace{}
 	e.kickFn = func() {
 		e.kickQueued = false
 		e.cmdKick.Broadcast()
@@ -548,18 +536,6 @@ func (e *Engine) AdoptConnections() []AdoptedConn {
 		out = append(out, AdoptedConn{ID: id, Flow: flow, TxSeq: txSeq, RxSeq: rxSeq, Buffered: buffered})
 	}
 	return out
-}
-
-// EnableTracing records per-command milestone stamps.
-func (e *Engine) EnableTracing() { e.tracing = true }
-
-// TraceOf returns the recorded milestones of a command.
-func (e *Engine) TraceOf(id uint32) (CmdTrace, bool) {
-	t, ok := e.traces[id]
-	if !ok {
-		return CmdTrace{}, false
-	}
-	return *t, true
 }
 
 // DebugState prints engine state (diagnostics).

@@ -101,11 +101,6 @@ func (e *Engine) execute(p *sim.Proc, cmd Command) {
 		e.finish(cmd.ID, CplStatusTransient, nil)
 		return
 	}
-	var rec *CmdTrace
-	if e.tracing {
-		rec = &CmdTrace{Posted: p.Now()}
-		e.traces[cmd.ID] = rec
-	}
 	var srcExt, dstExt []ExtentEntry
 	var err error
 	if cmd.SrcClass == ClassSSD {
@@ -157,9 +152,6 @@ func (e *Engine) execute(p *sim.Proc, cmd Command) {
 
 	e.destStage(p, cmd, dstExt, window, dstIn)
 	aux, _ = auxReady.Wait(p).([]byte)
-	if rec != nil {
-		rec.Done = p.Now()
-	}
 	e.finish(cmd.ID, CplStatusOK, aux)
 }
 
@@ -187,11 +179,6 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 			e.ctrlFor(cmd.SrcArg).SubmitRecv(recvReq{connID: cmd.SrcArg, want: n, buf: buf, done: sig})
 			sig.Wait(p)
 			e.sb.DeferDone(entry)
-			if seq == 0 && e.tracing {
-				if rec, ok := e.traces[cmd.ID]; ok {
-					rec.SrcDone = p.Now()
-				}
-			}
 			out.Put(chunkMsg{buf: buf, n: n, seq: seq, last: seq == nChunks-1})
 			off += n
 		}
@@ -231,11 +218,6 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 				s.Wait(rp)
 			}
 			e.sb.DeferDone(entry)
-			if seq == 0 && e.tracing {
-				if rec, ok := e.traces[cmd.ID]; ok {
-					rec.SrcDone = rp.Now()
-				}
-			}
 			delivered[seq].Wait(rp)
 			out.Put(chunkMsg{buf: buf, n: n, seq: seq, last: seq == nChunks-1})
 			delivered[seq+1].Fire(nil)

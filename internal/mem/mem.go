@@ -145,13 +145,6 @@ func (r *Region) End() Addr { return r.Base + Addr(r.Size) }
 // phase bit: in RTL the poll is free, here it is an event.
 func (r *Region) SetWriteHook(fn func(off uint64, n int)) { r.writeHook = fn }
 
-// HasWriteHook reports whether a write hook is installed. Analytic
-// fast paths that would move a write earlier or later than its
-// per-frame instant consult this: a hooked region makes the write's
-// exact instant observable, so such plans are only legal on hook-free
-// regions (DESIGN.md §13).
-func (r *Region) HasWriteHook() bool { return r.writeHook != nil }
-
 func (r *Region) check(off uint64, n int) {
 	if n < 0 || off+uint64(n) > r.Size {
 		panic(fmt.Sprintf("mem: access [%d,%d) outside region %s size %d",

@@ -172,13 +172,8 @@ func (fn *fidelityNode) statusRegion() *mem.Region {
 
 // newFaultyNode is newNode with a custom fault injector on the NIC
 // (the PCIe fabric keeps the default none profile; pcie-level faults
-// get their own mixes via params). The fabric stays event-driven
-// (non-exclusive): scripted senders overlap transmit gathers with
-// receive payload DMAs, and overtaking at the switch core is exactly
-// what the scalar flow clocks cannot replay (DESIGN.md §13) — these
-// mixes gate the fabric-independent wire-level claim crossover. The
-// analytic fabric + receive engine are gated by the reactive echo
-// mixes below, the only rig shape where they are legal.
+// get their own mixes via params). These mixes gate the wire-level
+// claim crossover (DESIGN.md §13); the fabric is always event-driven.
 func newFaultyNode(env *sim.Env, name string, inj *fault.Injector) *node {
 	mm := mem.NewMap()
 	fab := pcie.NewFabric(env, mm, pcie.DefaultParams())
@@ -364,8 +359,8 @@ func TestFidelityEquivalenceRandomCorruption(t *testing.T) {
 }
 
 func TestFidelityEquivalenceStuckBDs(t *testing.T) {
-	// Stuck descriptor fetches: the analytic fetch draws the site at
-	// the identical post-fetch instant, so recovery stalls line up.
+	// Stuck descriptor fetches: the site is drawn at the identical
+	// post-fetch instant, so recovery stalls line up.
 	var ops []mixOp
 	for k := 0; k < 10; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
@@ -377,11 +372,7 @@ func TestFidelityEquivalenceStuckBDs(t *testing.T) {
 
 // echoConfig scripts a reactive request/response rig: node a sends a
 // request, node b answers each fully received request with a reply,
-// and a issues the next request only after the full reply lands. Every
-// initiator is completion-driven, so the rig legally declares
-// SetFlowReactive on top of SetFlowExclusive — the one fabric shape
-// where analytic DMA, the receive engine, and future-issue plan
-// bookings are all exact (DESIGN.md §13).
+// and a issues the next request only after the full reply lands.
 type echoConfig struct {
 	rounds    int
 	reqSize   int
@@ -400,8 +391,6 @@ func runEcho(fid sim.WireFidelity, cfg echoConfig) (string, sim.Stats) {
 	for i, name := range []string{"a", "b"} {
 		inj := fault.NewInjector(cfg.faultSeed, cfg.profile)
 		n := newFaultyNode(env, name, inj)
-		n.fab.SetFlowExclusive()
-		n.fab.SetFlowReactive()
 		fn := &fidelityNode{node: n, lines: &lines, label: name}
 		fn.bufBase = n.dram.Alloc(64*2048, 4096)
 		for k := 0; k < 64; k++ {
@@ -507,13 +496,16 @@ func assertEchoEquivalent(t *testing.T, name string, cfg echoConfig) (frame, flo
 }
 
 func TestFidelityEquivalenceReactiveEcho(t *testing.T) {
-	// Single-frame request/response on a reactive analytic fabric: the
-	// solo receive plan's home turf. The flow run must both match the
-	// per-frame timeline exactly and actually take the fast path.
+	// Single-frame request/response: the flow run must both match the
+	// per-frame timeline exactly and actually take the fast path, whose
+	// only shortcut is the wire claim.
 	frameStats, flowStats := assertEchoEquivalent(t, "echo", echoConfig{
 		rounds: 40, reqSize: 1024, repSize: 1024,
 		profile: fault.None(), faultSeed: 1,
 	})
+	if flowStats.Segments == 0 {
+		t.Fatal("knob not live: echo emitted no flow segments")
+	}
 	if flowStats.Events >= frameStats.Events {
 		t.Fatalf("knob not live: flow run used %d events, frame run %d",
 			flowStats.Events, frameStats.Events)
@@ -521,8 +513,8 @@ func TestFidelityEquivalenceReactiveEcho(t *testing.T) {
 }
 
 func TestFidelityEquivalenceReactiveBulkEcho(t *testing.T) {
-	// Small request, bulk LSO reply: claims, engine burst machinery,
-	// and gather plans all engage within one reactive exchange.
+	// Small request, bulk LSO reply: the reply stream is claimed while
+	// the request path stays per-frame within one reactive exchange.
 	frameStats, flowStats := assertEchoEquivalent(t, "bulk-echo", echoConfig{
 		rounds: 12, reqSize: 512, repSize: 32 << 10,
 		profile: fault.None(), faultSeed: 1,
@@ -538,8 +530,8 @@ func TestFidelityEquivalenceReactiveBulkEcho(t *testing.T) {
 
 func TestFidelityEquivalenceReactiveFaultyEcho(t *testing.T) {
 	// Faults on the reactive rig: corruption demotes the reply flow to
-	// per-frame replay through the engine; stuck descriptor fetches
-	// stall the analytic send path at the per-frame instants.
+	// per-frame replay; stuck descriptor fetches stall the send path at
+	// the per-frame instants.
 	assertEchoEquivalent(t, "echo-corrupt", echoConfig{
 		rounds: 20, reqSize: 1024, repSize: 1024,
 		profile: fault.Profile{Name: "ec", Rules: map[fault.Site]fault.Rule{

@@ -17,8 +17,7 @@ import (
 // descriptors wait for future traffic), the armed-interrupt state, the
 // per-connection flow phase machines, the wire clock, the tag-slot
 // free order (which staging slot a future frame gets), and counters.
-// Free lists (frame buffers, delivery records, wire batches) restore
-// empty: a pool miss and a pool hit produce identical event timelines.
+// Free lists (frame buffers, delivery records) restore empty: a pool miss and a pool hit produce identical event timelines.
 
 // tupleKey packs a connection tuple into a sortable pair.
 func tupleKey(t ether.Tuple) (uint64, uint64) {
@@ -47,9 +46,6 @@ func readTuple(r *snap.Reader) ether.Tuple {
 // SnapSave encodes the device state. Queues iterate in queueList
 // (configuration) order, flows in sorted-tuple order.
 func (n *NIC) SnapSave(w *snap.Writer) error {
-	if n.eng != nil {
-		return fmt.Errorf("nic: %s: checkpoint with a flow receive engine is unsupported", n.Name)
-	}
 	if l := n.rxQ.Len(); l != 0 {
 		return fmt.Errorf("nic: %s: checkpoint with %d frames in the demux queue", n.Name, l)
 	}
@@ -163,9 +159,6 @@ func (n *NIC) saveQueue(w *snap.Writer, q *nicQueue) error {
 // SnapLoad overlays the captured state onto a freshly built NIC with
 // the identical queue configuration.
 func (n *NIC) SnapLoad(r *snap.Reader) error {
-	if n.eng != nil {
-		return fmt.Errorf("nic: %s: restore with a flow receive engine is unsupported", n.Name)
-	}
 	n.wireFree = sim.Time(r.I64())
 	if err := sim.RestoreBWFrom(r, n.txBW); err != nil {
 		return fmt.Errorf("nic: %s: %w", n.Name, err)
