@@ -91,3 +91,40 @@ func TestRestoreRejectsKnobMismatch(t *testing.T) {
 		t.Fatalf("rejected restore moved the clock: %d -> %d", now, env2.Now())
 	}
 }
+
+// TestRestoreRejectsSetupMismatch restores a checkpoint taken with
+// four connection pairs into a cell built with three. The
+// configuration fingerprint does not cover the connection count, so
+// the header passes and the load-side structure checks must catch the
+// difference, naming it, before the clock is forced.
+func TestRestoreRejectsSetupMismatch(t *testing.T) {
+	cfg := DefaultWarmForkConfig()
+	cfg.Conns = 4
+	env, cl, _, err := cfg.buildCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Close()
+	ckpt, err := cl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Conns = 3
+	env2, cl2, _, err := cfg.buildCell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env2.Close()
+	if cl2.ConfigFingerprint() != cl.ConfigFingerprint() {
+		t.Fatal("connection count changed the configuration fingerprint; the test no longer reaches the structure checks")
+	}
+	now := env2.Now()
+	err = cl2.Restore(ckpt)
+	if err == nil || !strings.Contains(err.Error(), "connections opened") {
+		t.Fatalf("restore into a 3-connection cell: err = %v, want a connection-count mismatch", err)
+	}
+	if env2.Now() != now {
+		t.Fatalf("rejected restore moved the clock: %d -> %d", now, env2.Now())
+	}
+}

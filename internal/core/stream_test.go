@@ -157,11 +157,11 @@ func TestStreamHandoverCheckpointBytes(t *testing.T) {
 		t.Fatal("whole-stream take kept the buffer")
 	}
 	encode := func() []byte {
-		w := snap.NewWriter(snap.Header{})
-		if err := cl.Client.saveNodeState(w); err != nil {
+		c := snap.NewSaver(snap.Header{})
+		if err := cl.Client.snapNodeState(c); err != nil {
 			t.Fatal(err)
 		}
-		return w.Finish()
+		return c.Finish()
 	}
 	handedOver := encode()
 	c.stream = make([]byte, 0, 4096)

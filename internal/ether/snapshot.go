@@ -1,14 +1,11 @@
 package ether
 
-// Checkpoint accessors (DESIGN.md §17). The flow state machine's two
-// fields are schedule state — the phase decides whether the next burst
-// collapses to a flow segment — so checkpoints must carry them. The
-// package stays codec-free; the NIC snapshot encodes the pair.
+import "dcsctrl/internal/sim/snap"
 
-// CheckpointFlow returns the machine's phase and ramp run count.
-func (s *FlowState) CheckpointFlow() (FlowPhase, int) { return s.phase, s.runs }
-
-// RestoreFlow overlays a captured phase and ramp run count.
-func (s *FlowState) RestoreFlow(phase FlowPhase, runs int) {
-	s.phase, s.runs = phase, runs
+// Snap codes the flow state machine (DESIGN.md §17). Both fields are
+// schedule state — the phase decides whether the next burst collapses
+// to a flow segment — so checkpoints must carry them.
+func (s *FlowState) Snap(c *snap.Codec) {
+	snap.Word(c, &s.phase)
+	c.Int(&s.runs)
 }

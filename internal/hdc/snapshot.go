@@ -3,8 +3,6 @@ package hdc
 import (
 	"fmt"
 
-	"dcsctrl/internal/mem"
-	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
 )
 
@@ -21,254 +19,109 @@ import (
 // ownership, NDP streamers, AES keys — is rebuilt by running the
 // identical configuration and only verified here.
 
-// SnapSave encodes the engine state. Controllers iterate in
-// attachment order, connections in sorted-ID order.
-func (e *Engine) SnapSave(w *snap.Writer) error {
+// Snap codes the engine state. Controllers iterate in attachment
+// order, connections in sorted-ID order.
+func (e *Engine) Snap(c *snap.Codec) error {
 	if e.dead {
 		return fmt.Errorf("hdc: %s: checkpoint of a failed engine is unsupported", e.name)
 	}
 	if e.cmdHead != e.cmdTail {
-		return fmt.Errorf("hdc: %s: checkpoint with unparsed commands (head=%d tail=%d)", e.name, e.cmdHead, e.cmdTail)
+		return fmt.Errorf("hdc: %s: not quiescent: unparsed commands (head=%d tail=%d)", e.name, e.cmdHead, e.cmdTail)
 	}
 	if e.kickQueued {
-		return fmt.Errorf("hdc: %s: checkpoint with a queued parser kick", e.name)
+		return fmt.Errorf("hdc: %s: not quiescent: a parser kick queued", e.name)
 	}
 	if len(e.submitted) != 0 || len(e.finished) != 0 {
-		return fmt.Errorf("hdc: %s: checkpoint with %d submitted / %d finished commands in flight",
+		return fmt.Errorf("hdc: %s: not quiescent: %d submitted / %d finished commands in flight",
 			e.name, len(e.submitted), len(e.finished))
 	}
 	if e.sb.live != 0 || len(e.sb.pendDone) != 0 {
-		return fmt.Errorf("hdc: %s: checkpoint with %d live / %d retiring scoreboard entries",
+		return fmt.Errorf("hdc: %s: not quiescent: %d live / %d retiring scoreboard entries",
 			e.name, e.sb.live, len(e.sb.pendDone))
 	}
-	w.U64(e.cmdTail)
-	w.U64(e.cplCount)
-	w.I64(e.cmdsDone)
-	w.Int(e.nextNICRR)
-	w.U32(uint32(len(e.connOwner))) // setup-determined; verified at load
-	if err := e.chunks.SnapSave(w); err != nil {
-		return fmt.Errorf("hdc: %s chunks: %w", e.name, err)
+	c.U64(&e.cmdTail)
+	if c.Loading() {
+		e.cmdHead = e.cmdTail
 	}
-	if err := e.recvPool.SnapSave(w); err != nil {
-		return fmt.Errorf("hdc: %s recvPool: %w", e.name, err)
+	c.U64(&e.cplCount)
+	c.I64(&e.cmdsDone)
+	c.Expect("hdc: "+e.name+" NIC round-robin cursor", e.nextNICRR)
+	c.Len("hdc: "+e.name+" connections", len(e.connOwner))
+	if err := snap.All(c, e.chunks, e.recvPool); err != nil {
+		return fmt.Errorf("hdc: %s: %w", e.name, err)
 	}
-	w.I64(e.sb.issued)
-	w.I64(e.sb.done)
-	w.Int(e.sb.maxLive)
-
-	w.U32(uint32(len(e.nvmeCtls)))
-	for _, c := range e.nvmeCtls {
-		if err := c.snapSave(w); err != nil {
-			return err
-		}
-	}
-	w.U32(uint32(len(e.nicCtls)))
-	for _, c := range e.nicCtls {
-		if err := c.snapSave(w); err != nil {
-			return err
-		}
-	}
-	return nil
+	c.I64(&e.sb.issued)
+	c.I64(&e.sb.done)
+	c.Int(&e.sb.maxLive)
+	snap.Each(c, "hdc: "+e.name+" NVMe controllers", e.nvmeCtls)
+	return snap.Each(c, "hdc: "+e.name+" NIC controllers", e.nicCtls)
 }
 
-// SnapLoad overlays the captured state onto a freshly built engine
-// with the identical device attachments and registered connections.
-func (e *Engine) SnapLoad(r *snap.Reader) error {
-	tail := r.U64()
-	e.cplCount = r.U64()
-	e.cmdsDone = r.I64()
-	rr := r.Int()
-	nConn := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	e.cmdHead, e.cmdTail = tail, tail
-	if rr != e.nextNICRR {
-		return fmt.Errorf("hdc: %s: snapshot NIC round-robin cursor %d, engine has %d (connection setup differs)",
-			e.name, rr, e.nextNICRR)
-	}
-	if nConn != len(e.connOwner) {
-		return fmt.Errorf("hdc: %s: snapshot has %d connections, engine has %d", e.name, nConn, len(e.connOwner))
-	}
-	if err := e.chunks.SnapLoad(r); err != nil {
-		return err
-	}
-	if err := e.recvPool.SnapLoad(r); err != nil {
-		return err
-	}
-	e.sb.issued = r.I64()
-	e.sb.done = r.I64()
-	e.sb.maxLive = r.Int()
-
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.nvmeCtls) {
-		return fmt.Errorf("hdc: %s: snapshot has %d NVMe controllers, engine has %d", e.name, n, len(e.nvmeCtls))
-	}
-	for _, c := range e.nvmeCtls {
-		if err := c.snapLoad(r); err != nil {
-			return err
-		}
-	}
-	n = int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.nicCtls) {
-		return fmt.Errorf("hdc: %s: snapshot has %d NIC controllers, engine has %d", e.name, n, len(e.nicCtls))
-	}
-	for _, c := range e.nicCtls {
-		if err := c.snapLoad(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-func (c *NVMeCtrl) snapSave(w *snap.Writer) error {
+// Snap codes the controller's PRP cursor, counters, and ring.
+func (c *NVMeCtrl) Snap(sc *snap.Codec) error {
 	if l := c.reqQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: checkpoint with %d queued NVMe requests", l)
+		return fmt.Errorf("hdc: not quiescent: %d queued NVMe requests", l)
 	}
-	w.Int(c.prpNext)
-	w.I64(c.cmds)
-	w.I64(c.retries)
-	return c.ring.SnapSave(w)
+	sc.Int(&c.prpNext)
+	sc.I64(&c.cmds)
+	sc.I64(&c.retries)
+	return c.ring.Snap(sc)
 }
 
-func (c *NVMeCtrl) snapLoad(r *snap.Reader) error {
-	c.prpNext = r.Int()
-	c.cmds = r.I64()
-	c.retries = r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return c.ring.SnapLoad(r)
-}
-
-func (c *NICCtrl) snapSave(w *snap.Writer) error {
+// Snap codes the controller's header-slot rotation, counters, rings,
+// and per-connection state.
+func (c *NICCtrl) Snap(sc *snap.Codec) error {
 	if l := c.sendQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d queued sends", c.qid, l)
+		return fmt.Errorf("hdc: q%d: not quiescent: %d queued sends", c.qid, l)
 	}
 	if l := c.recvQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d queued receives", c.qid, l)
+		return fmt.Errorf("hdc: q%d: not quiescent: %d queued receives", c.qid, l)
 	}
 	if len(c.pendTx) != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d unacknowledged transmits", c.qid, len(c.pendTx))
+		return fmt.Errorf("hdc: q%d: not quiescent: %d unacknowledged transmits", c.qid, len(c.pendTx))
 	}
-	w.Int(c.hdrNext)
-	w.I64(c.sendJobs)
-	w.I64(c.recvPkts)
-	w.I64(c.gatheredBytes)
-	if err := c.send.SnapSave(w); err != nil {
+	sc.Int(&c.hdrNext)
+	sc.I64(&c.sendJobs)
+	sc.I64(&c.recvPkts)
+	sc.I64(&c.gatheredBytes)
+	if err := snap.All(sc, c.send, c.recv); err != nil {
 		return err
 	}
-	if err := c.recv.SnapSave(w); err != nil {
-		return err
-	}
-	ids := sim.SortedKeys(c.conns)
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		cn := c.conns[id]
+	return snap.Keyed(sc, fmt.Sprintf("hdc: q%d connections", c.qid), c.conns, func(id uint64, cn *conn) error {
 		if cn.waiter != nil {
-			return fmt.Errorf("hdc: q%d: checkpoint with a receive waiter on connection %d", c.qid, id)
+			return fmt.Errorf("hdc: q%d: not quiescent: a receive waiter on connection %d", c.qid, id)
 		}
-		w.U64(id)
-		w.U32(cn.txSeq)
-		w.U32(cn.rxSeq)
+		sc.U32(&cn.txSeq)
+		sc.U32(&cn.rxSeq)
 		// Buffered, not-yet-consumed receive extents (live chunk data a
 		// future RecvFile drains first), in arrival order.
 		exts := cn.rxBufs[cn.rxHead:]
-		w.U32(uint32(len(exts)))
-		for _, x := range exts {
-			w.U64(uint64(x.addr))
-			w.Int(x.n)
-			w.U64(uint64(x.buf))
+		snap.Seq(sc, &exts, func(sc *snap.Codec, x *rxExtent) {
+			snap.Word(sc, &x.addr)
+			sc.Int(&x.n)
+			snap.Word(sc, &x.buf)
+		})
+		if sc.Loading() {
+			cn.rxBufs, cn.rxHead = exts, 0
 		}
-		w.Int(cn.rxALen)
-	}
-	return nil
+		sc.Int(&cn.rxALen)
+		return nil
+	})
 }
 
-func (c *NICCtrl) snapLoad(r *snap.Reader) error {
-	c.hdrNext = r.Int()
-	c.sendJobs = r.I64()
-	c.recvPkts = r.I64()
-	c.gatheredBytes = r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := c.send.SnapLoad(r); err != nil {
-		return err
-	}
-	if err := c.recv.SnapLoad(r); err != nil {
-		return err
-	}
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.conns) {
-		return fmt.Errorf("hdc: q%d: snapshot has %d connections, controller has %d", c.qid, n, len(c.conns))
-	}
-	for i := 0; i < n; i++ {
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn, ok := c.conns[id]
-		if !ok {
-			return fmt.Errorf("hdc: q%d: snapshot connection %d absent on controller", c.qid, id)
-		}
-		cn.txSeq = r.U32()
-		cn.rxSeq = r.U32()
-		ne := int(r.U32())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn.rxBufs = cn.rxBufs[:0]
-		cn.rxHead = 0
-		for j := 0; j < ne; j++ {
-			cn.rxBufs = append(cn.rxBufs, rxExtent{
-				addr: mem.Addr(r.U64()),
-				n:    r.Int(),
-				buf:  mem.Addr(r.U64()),
-			})
-		}
-		cn.rxALen = r.Int()
-	}
-	return r.Err()
-}
-
-// SnapSave encodes the driver state. A quiescent driver has every
-// library call returned: no command waiting on a completion and no
-// queue slot held.
-func (d *Driver) SnapSave(w *snap.Writer) error {
+// Snap codes the driver state. A quiescent driver has every library
+// call returned: no command waiting on a completion and no queue slot
+// held.
+func (d *Driver) Snap(c *snap.Codec) error {
 	if d.outstanding != 0 || len(d.waiting) != 0 {
-		return fmt.Errorf("hdc: driver checkpoint with %d outstanding commands", d.outstanding)
+		return fmt.Errorf("hdc: driver not quiescent: %d outstanding commands", d.outstanding)
 	}
-	w.U32(d.nextID)
-	w.U64(d.tail)
-	w.U64(d.cplHead)
-	w.Bool(d.failed)
-	w.I64(d.retries)
-	w.I64(d.timeouts)
-	w.I64(d.orphans)
-	return nil
-}
-
-// SnapLoad overlays the captured driver state.
-func (d *Driver) SnapLoad(r *snap.Reader) error {
-	if d.outstanding != 0 || len(d.waiting) != 0 {
-		return fmt.Errorf("hdc: driver restore with %d outstanding commands", d.outstanding)
+	c.U32(&d.nextID)
+	c.U64(&d.tail)
+	c.U64(&d.cplHead)
+	c.Bool(&d.failed)
+	for _, v := range []*int64{&d.retries, &d.timeouts, &d.orphans} {
+		c.I64(v)
 	}
-	d.nextID = r.U32()
-	d.tail = r.U64()
-	d.cplHead = r.U64()
-	d.failed = r.Bool()
-	d.retries = r.I64()
-	d.timeouts = r.I64()
-	d.orphans = r.I64()
-	return r.Err()
+	return c.Err()
 }

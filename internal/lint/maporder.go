@@ -117,27 +117,39 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, funcBody *ast.BlockStmt) 
 	})
 }
 
-// checkWriterCall flags method calls inside a map range that append
-// to position-significant output owned outside the loop: the
+// checkWriterCall flags calls inside a map range that append to
+// position-significant output owned outside the loop: the
 // Write/WriteString/... family (strings.Builder, bytes.Buffer,
-// io.Writer) and every encode method of the checkpoint codec's
-// snap.Writer. Each iteration appends to shared output, so the order
-// of iterations is the order of the output — for the snap codec that
-// means the snapshot bytes themselves become schedule lottery.
+// io.Writer) and every coding call of the checkpoint codec — a
+// snap.Codec method, or a snap function taking the codec as its first
+// argument (snap.Word, snap.Seq, ...). Each iteration appends to
+// shared output, so the order of iterations is the order of the
+// output — for the snap codec that means the snapshot bytes
+// themselves become schedule lottery.
 func checkWriterCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	fn := calleeFunc(pass.TypesInfo, call)
-	snapCodec := fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == SnapCodecPath &&
-		recvTypeName(fn) == "Writer"
-	if !snapCodec {
-		switch sel.Sel.Name {
-		case "Write", "WriteString", "WriteByte", "WriteRune":
-		default:
+	if codec, isMethod := snapCodecOperand(pass.TypesInfo, call, sel); codec != nil {
+		obj := baseObject(pass.TypesInfo, codec)
+		if obj == nil || declaredWithin(obj, rng) {
 			return
 		}
+		what := obj.Name() + "." + sel.Sel.Name
+		if !isMethod {
+			what = "snap." + sel.Sel.Name + "(" + obj.Name() + ", ...)"
+		}
+		pass.Reportf(call.Pos(),
+			"snap codec %s inside a map range encodes map-keyed state in randomized "+
+				"order, so the snapshot bytes differ run to run; %s",
+			what, mapOrderFix)
+		return
+	}
+	switch sel.Sel.Name {
+	case "Write", "WriteString", "WriteByte", "WriteRune":
+	default:
+		return
 	}
 	if _, isMethod := pass.TypesInfo.Selections[sel]; !isMethod {
 		return
@@ -146,16 +158,38 @@ func checkWriterCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	if obj == nil || declaredWithin(obj, rng) {
 		return
 	}
-	if snapCodec {
-		pass.Reportf(call.Pos(),
-			"snap codec %s.%s inside a map range encodes map-keyed state in randomized "+
-				"order, so the snapshot bytes differ run to run; %s",
-			obj.Name(), sel.Sel.Name, mapOrderFix)
-		return
-	}
 	pass.Reportf(call.Pos(),
 		"%s.%s inside a map range accumulates output in randomized order; %s",
 		obj.Name(), sel.Sel.Name, mapOrderFix)
+}
+
+// snapCodecOperand returns the codec a call into the checkpoint codec
+// package codes through — the receiver of a snap.Codec method, or the
+// first argument of a snap function whose first parameter is a
+// *snap.Codec — and whether the call is a method call. It returns nil
+// for every other call, and for Loading and Err, which only query the
+// codec.
+func snapCodecOperand(info *types.Info, call *ast.CallExpr, sel *ast.SelectorExpr) (ast.Expr, bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != SnapCodecPath {
+		return nil, false
+	}
+	if recvTypeName(fn) == "Codec" {
+		if fn.Name() == "Loading" || fn.Name() == "Err" {
+			return nil, false
+		}
+		return sel.X, true
+	}
+	params := fn.Type().(*types.Signature).Params()
+	if params.Len() == 0 || len(call.Args) == 0 {
+		return nil, false
+	}
+	if ptr, ok := params.At(0).Type().(*types.Pointer); ok {
+		if named, ok := ptr.Elem().(*types.Named); ok && named.Obj().Name() == "Codec" {
+			return call.Args[0], false
+		}
+	}
+	return nil, false
 }
 
 // checkRangeAssign flags appends to outer slices that are never

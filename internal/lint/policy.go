@@ -9,8 +9,8 @@ const ModulePath = "dcsctrl"
 // and channels are allowed, and the home of the sim.Time type.
 const SimKernelPath = ModulePath + "/internal/sim"
 
-// SnapCodecPath is the checkpoint codec package. Its Writer appends
-// to a position-significant byte stream, so every encode call made
+// SnapCodecPath is the checkpoint codec package. Its Codec appends
+// to a position-significant byte stream, so every coding call made
 // while ranging a map leaks the randomized iteration order straight
 // into the snapshot bytes — and snapshot bytes must be identical run
 // to run (DESIGN.md §17).

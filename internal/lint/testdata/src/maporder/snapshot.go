@@ -1,11 +1,11 @@
-// Snapshot-codec cases: checkpoint encoders walk map-keyed device
-// state (queue pairs by QID, flash blocks by LBA) into snap.Writer's
+// Snapshot-codec cases: checkpoint layouts walk map-keyed device
+// state (queue pairs by QID, flash blocks by LBA) through snap.Codec's
 // length-prefixed byte stream, where every byte's POSITION is
 // meaningful — a restore replays the stream into a fresh cluster and
 // CI compares the bytes against a golden artifact. Ranging the map
-// while encoding lets Go's randomized iteration order pick the byte
-// order; the legal spelling is the collect/sort/index idiom the real
-// snapshotters use (sim.SortedKeys).
+// while coding lets Go's randomized iteration order pick the byte
+// order; the legal spellings are the collect/sort/index idiom and the
+// codec's own sorted-key helpers (snap.Map, snap.Keyed).
 package maporder
 
 import (
@@ -19,69 +19,93 @@ type qpState struct {
 	cqTail int
 }
 
-// saveQPsUnsorted encodes queue pairs in map order: two snapshots of
+// saveQPsUnsorted codes queue pairs in map order: two snapshots of
 // the same simulation produce different checkpoint bytes, and the
 // restore overlay applies them in a different order.
-func saveQPsUnsorted(w *snap.Writer, qps map[uint16]*qpState) {
-	w.Int(len(qps))
+func saveQPsUnsorted(c *snap.Codec, qps map[uint16]*qpState) {
+	c.Len("qps", len(qps))
 	for qid, qp := range qps {
-		w.U16(qid)       // want `snap codec w\.U16 inside a map range encodes map-keyed state in randomized order`
-		w.Int(qp.sqHead) // want `snap codec w\.Int inside a map range`
-		w.Int(qp.cqTail) // want `snap codec w\.Int inside a map range`
+		c.U16(&qid)       // want `snap codec c\.U16 inside a map range encodes map-keyed state in randomized order`
+		c.Int(&qp.sqHead) // want `snap codec c\.Int inside a map range`
+		c.Int(&qp.cqTail) // want `snap codec c\.Int inside a map range`
 	}
 }
 
-// saveQPsSorted is the canonical collect/sort/index encode:
+// saveQPsSorted is the canonical collect/sort/index layout:
 // deterministic bytes no matter the map's insertion history.
-func saveQPsSorted(w *snap.Writer, qps map[uint16]*qpState) {
+func saveQPsSorted(c *snap.Codec, qps map[uint16]*qpState) {
 	qids := make([]uint16, 0, len(qps))
 	for qid := range qps {
 		qids = append(qids, qid)
 	}
 	sort.Slice(qids, func(i, j int) bool { return qids[i] < qids[j] })
-	w.Int(len(qids))
+	c.Len("qps", len(qids))
 	for _, qid := range qids {
 		qp := qps[qid]
-		w.U16(qid)
-		w.Int(qp.sqHead)
-		w.Int(qp.cqTail)
+		c.U16(&qid)
+		c.Int(&qp.sqHead)
+		c.Int(&qp.cqTail)
 	}
 }
 
+// snapQPsKeyed hands the ordering to the codec: snap.Keyed visits the
+// keys ascending.
+func snapQPsKeyed(c *snap.Codec, qps map[uint16]*qpState) error {
+	return snap.Keyed(c, "qps", qps, func(_ uint16, qp *qpState) error {
+		c.Int(&qp.sqHead)
+		c.Int(&qp.cqTail)
+		return nil
+	})
+}
+
 // saveFlashUnsorted streams flash blocks in map order — same bug
-// through a different encode method.
-func saveFlashUnsorted(w *snap.Writer, flash map[uint64][]byte) {
-	w.Int(len(flash))
+// through a different coding method.
+func saveFlashUnsorted(c *snap.Codec, flash map[uint64][]byte) {
+	c.Len("flash", len(flash))
 	for lba, blk := range flash {
-		w.U64(lba)   // want `snap codec w\.U64 inside a map range encodes map-keyed state in randomized order`
-		w.Bytes(blk) // want `snap codec w\.Bytes inside a map range`
+		c.U64(&lba)   // want `snap codec c\.U64 inside a map range encodes map-keyed state in randomized order`
+		c.Bytes(&blk) // want `snap codec c\.Bytes inside a map range`
+	}
+}
+
+// saveSlotsUnsorted codes typed addresses through snap.Word, a snap
+// function taking the codec as its first argument: the same bug.
+func saveSlotsUnsorted(c *snap.Codec, slots map[string]uint64) {
+	for _, a := range slots {
+		snap.Word(c, &a) // want `snap codec snap\.Word\(c, \.\.\.\) inside a map range encodes map-keyed state in randomized order`
 	}
 }
 
 // saveFlashSorted collects LBAs, sorts, and indexes back into the map
-// while encoding.
-func saveFlashSorted(w *snap.Writer, flash map[uint64][]byte) {
+// while coding.
+func saveFlashSorted(c *snap.Codec, flash map[uint64][]byte) {
 	lbas := make([]uint64, 0, len(flash))
 	for lba := range flash {
 		lbas = append(lbas, lba)
 	}
 	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
-	w.Int(len(lbas))
+	c.Len("flash", len(lbas))
 	for _, lba := range lbas {
-		w.U64(lba)
-		w.Bytes(flash[lba])
+		blk := flash[lba]
+		c.U64(&lba)
+		c.Bytes(&blk)
 	}
 }
 
-// loadFlash decodes what saveFlashSorted wrote. Decoding never ranges
-// a map, so there is nothing for the analyzer here — it exists so the
-// fixture round-trips conceptually.
-func loadFlash(r *snap.Reader) map[uint64][]byte {
-	n := r.Int()
-	flash := make(map[uint64][]byte, n)
-	for i := 0; i < n; i++ {
-		lba := r.U64()
-		flash[lba] = r.Bytes()
+// snapFlash is the one-method form: snap.Map sorts the keys on save
+// and rebuilds the map on load, so nothing here ranges a map.
+func snapFlash(c *snap.Codec, flash *map[uint64][]byte) {
+	snap.Map(c, flash, (*snap.Codec).U64, (*snap.Codec).Bytes)
+}
+
+// countLoaded only queries the codec inside the range: Loading and Err
+// code nothing, so iteration order cannot reach the bytes.
+func countLoaded(c *snap.Codec, flash map[uint64][]byte) int {
+	n := 0
+	for range flash {
+		if c.Loading() && c.Err() == nil {
+			n++
+		}
 	}
-	return flash
+	return n
 }

@@ -56,13 +56,11 @@ func span(rng *rand.Rand, size uint64) (uint64, int) {
 // snapshotMap encodes m as a one-section checkpoint.
 func snapshotMap(t *testing.T, m *Map) []byte {
 	t.Helper()
-	w := snap.NewWriter(snap.Header{Version: snap.Version})
-	w.Section("mem")
-	if err := m.SnapSave(w); err != nil {
+	c := snap.NewSaver(snap.Header{Version: snap.Version})
+	if err := c.Section("mem", func() error { return m.Snap(c) }); err != nil {
 		t.Fatal(err)
 	}
-	w.EndSection()
-	return w.Finish()
+	return c.Finish()
 }
 
 // restoreMap overlays ckpt onto m, whose pages then alias ckpt.
@@ -72,13 +70,8 @@ func restoreMap(t *testing.T, m *Map, ckpt []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Section("mem"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SnapLoad(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EndSection(); err != nil {
+	c := snap.NewLoader(r)
+	if err := c.Section("mem", func() error { return m.Snap(c) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -293,16 +286,17 @@ func TestSparseEncodingMatchesFlat(t *testing.T) {
 				ref.hiWater = max(ref.hiWater, off+uint64(n))
 			}
 		}
-		w := snap.NewWriter(snap.Header{Version: snap.Version})
-		w.Section("mem")
-		w.U32(1)
-		w.Str(r.Name)
-		w.U64(r.Size)
-		w.U64(r.allocOff)
-		w.U64(ref.hiWater)
-		w.SparseBytes(ref.b)
-		w.EndSection()
-		if got, want := snapshotMap(t, m), w.Finish(); !bytes.Equal(got, want) {
+		c := snap.NewSaver(snap.Header{Version: snap.Version})
+		c.Section("mem", func() error {
+			c.Len("regions", 1)
+			c.Expect("name", r.Name)
+			c.Expect("size", r.Size)
+			c.U64(&r.allocOff)
+			c.U64(&ref.hiWater)
+			c.SparseBytes(ref.b)
+			return nil
+		})
+		if got, want := snapshotMap(t, m), c.Finish(); !bytes.Equal(got, want) {
 			t.Errorf("seed %d: paged encoding (%d bytes) differs from the flat encoder (%d bytes)", seed, len(got), len(want))
 			return false
 		}
@@ -320,12 +314,11 @@ func TestSnapSizeHintBounds(t *testing.T) {
 	b.WriteAt(pagedSize-1, []byte{2})
 	restoreMap(t, m, snapshotMap(t, m))
 	a.WriteAt(5, []byte{3})
-	w := snap.NewWriter(snap.Header{Version: snap.Version})
-	start := w.Len()
-	if err := m.SnapSave(w); err != nil {
+	c := snap.NewSaver(snap.Header{Version: snap.Version})
+	if err := m.Snap(c); err != nil {
 		t.Fatal(err)
 	}
-	if got, hint := w.Len()-start, m.SnapSizeHint(); got > hint {
-		t.Fatalf("SnapSave wrote %d bytes, hint reserved %d", got, hint)
+	if got, hint := len(c.Finish())-snap.HeaderSize-snap.DigestSize, m.SnapSizeHint(); got > hint {
+		t.Fatalf("Snap saved %d bytes, hint reserved %d", got, hint)
 	}
 }

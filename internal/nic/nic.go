@@ -167,7 +167,11 @@ type NIC struct {
 	// consumed frame buffers back to the marshalling side, fdFree
 	// recycles wire-delivery records and their bound callbacks. Both
 	// are LIFO lists driven only from the simulated timeline.
-	frameFree [][]byte
+	// Back-to-back peers share one frameFree list (Connect): frames are
+	// marshalled by the sender and consumed by the receiver, so on
+	// one-way traffic a per-NIC list would never return a buffer to
+	// the side that allocates them.
+	frameFree *[][]byte
 	fdFree    []*frameDelivery
 
 	// Flow-fidelity transmit state (flow.go): per-connection phase
@@ -187,22 +191,24 @@ type NIC struct {
 	RxPerQueue map[uint16]int64
 }
 
-// framePoolCap bounds the recycled-frame list; one-directional traffic
-// would otherwise grow the receiver's pool without bound.
+// framePoolCap bounds the recycled-frame list; an uplink NIC's list
+// only ever fills from received traffic and would otherwise grow
+// without bound.
 const framePoolCap = 256
 
 func (n *NIC) getFrameBuf() []byte {
-	if k := len(n.frameFree); k > 0 {
-		b := n.frameFree[k-1]
-		n.frameFree = n.frameFree[:k-1]
+	free := n.frameFree
+	if k := len(*free); k > 0 {
+		b := (*free)[k-1]
+		*free = (*free)[:k-1]
 		return b
 	}
 	return nil
 }
 
 func (n *NIC) putFrameBuf(b []byte) {
-	if len(n.frameFree) < framePoolCap {
-		n.frameFree = append(n.frameFree, b)
+	if free := n.frameFree; len(*free) < framePoolCap {
+		*free = append(*free, b)
 	}
 }
 
@@ -249,6 +255,7 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 		steering:   map[ether.Tuple]uint16{},
 		flows:      map[ether.Tuple]*ether.FlowState{},
 		RxPerQueue: map[uint16]int64{},
+		frameFree:  new([][]byte),
 	}
 	n.port = fab.AddPort(name)
 	mm := fab.Mem()
@@ -346,11 +353,19 @@ func (n *NIC) RecoveryStats() (txReplays, bdRefetches int64) {
 }
 
 // Connect wires two NICs back-to-back (the paper's two-node setup).
+// The peers share one frame-buffer free list, so frames the receiver
+// consumes go back to whichever side marshals next; both NICs run on
+// the same Env, so the list is never touched from two shards.
 func Connect(a, b *NIC) {
 	if a.uplink != nil || b.uplink != nil {
 		panic("nic: Connect on a NIC already attached to a switched fabric")
 	}
+	if a.env != b.env {
+		panic("nic: Connect across simulation environments")
+	}
 	a.peer, b.peer = b, a
+	*a.frameFree = append(*a.frameFree, *b.frameFree...)
+	b.frameFree = a.frameFree
 }
 
 // Uplink is a switched-fabric attachment point: SendFrame takes

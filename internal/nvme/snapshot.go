@@ -21,156 +21,69 @@ import (
 // idle-worker count and the restore path primes that many parked
 // workers (PrimeExecPool).
 
-// SnapSizeHint bounds the size SnapSave encodes: the flash image
-// plus a margin for rings and counters.
+// SnapSizeHint bounds the size Snap saves: the flash image plus a
+// margin for rings and counters.
 func (s *SSD) SnapSizeHint() int { return len(s.flash)*(12+BlockSize) + 4096 }
 
-// SnapSave encodes the device state. QPs iterate in sorted-QID order
-// so encode order never leaks map iteration order.
-func (s *SSD) SnapSave(w *snap.Writer) error {
-	slots := sim.CheckpointQueue(s.slotQ)
-	w.U32(uint32(len(slots)))
-	for _, a := range slots {
-		w.U64(uint64(a))
+// Snap codes the device state. Flash blocks and QPs iterate in sorted
+// key order so encode order never leaks map iteration order.
+func (s *SSD) Snap(c *snap.Codec) error {
+	c.Grow(s.SnapSizeHint())
+	if err := sim.SnapQueue(c, s.slotQ, snap.Word[mem.Addr]); err != nil {
+		return err
 	}
-	if err := sim.CheckpointBWInto(w, s.readBW); err != nil {
+	if err := snap.All(c, s.readBW, s.writeBW, s.exec); err != nil {
 		return fmt.Errorf("%s: %w", s.Name, err)
 	}
-	if err := sim.CheckpointBWInto(w, s.writeBW); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
+	c.I64(&s.cmdsDone)
+	c.I64(&s.bytesRd)
+	c.I64(&s.bytesWr)
+	idle := s.execIdle
+	c.Int(&idle)
+	if c.Loading() && c.Err() == nil {
+		s.PrimeExecPool(idle)
 	}
-	if err := sim.CheckpointAccumInto(w, s.exec); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
-	}
-	w.I64(s.cmdsDone)
-	w.I64(s.bytesRd)
-	w.I64(s.bytesWr)
-	w.Int(s.execIdle)
-
-	lbas := sim.SortedKeys(s.flash)
-	w.U32(uint32(len(lbas)))
-	w.Grow(s.SnapSizeHint())
-	for _, lba := range lbas {
-		w.U64(lba)
-		w.Bytes(s.flash[lba].b)
-	}
-
-	qids := sim.SortedKeys(s.qps)
-	w.U32(uint32(len(qids)))
-	for _, qid := range qids {
-		qp := s.qps[qid]
-		if qp.sqHead != qp.dbTail {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with unfetched SQEs (head=%d tail=%d)", s.Name, qid, qp.sqHead, qp.dbTail)
-		}
-		if len(qp.cplPend) != 0 {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with %d pending completions", s.Name, qid, len(qp.cplPend))
-		}
-		if qp.kickQueued {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with a queued doorbell kick", s.Name, qid)
-		}
-		if qp.cqHeadSee != qp.cqTail {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with unconsumed CQEs (seen=%d tail=%d)", s.Name, qid, qp.cqHeadSee, qp.cqTail)
-		}
-		w.U16(qid)
-		w.Int(qp.sqHead)
-		w.Int(qp.cqTail)
-		w.Bool(qp.phase)
-	}
-	return nil
-}
-
-// SnapLoad overlays the captured state onto a freshly built SSD with
-// identical queue-pair configuration.
-func (s *SSD) SnapLoad(r *snap.Reader) error {
-	nSlots := int(r.U32())
-	slots := make([]mem.Addr, nSlots)
-	for i := range slots {
-		slots[i] = mem.Addr(r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := sim.RestoreQueue(s.slotQ, slots); err != nil {
-		return err
-	}
-	if err := sim.RestoreBWFrom(r, s.readBW); err != nil {
-		return err
-	}
-	if err := sim.RestoreBWFrom(r, s.writeBW); err != nil {
-		return err
-	}
-	if err := sim.RestoreAccumFrom(r, s.exec); err != nil {
-		return err
-	}
-	s.cmdsDone, s.bytesRd, s.bytesWr = r.I64(), r.I64(), r.I64()
-	idle := r.Int()
-
-	nBlocks := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.PrimeExecPool(idle)
 	// Restored blocks alias the checkpoint buffer until first written
 	// (the buffer must not change while this SSD lives).
-	s.flash = make(map[uint64]flashBlock, nBlocks)
-	for i := 0; i < nBlocks; i++ {
-		lba := r.U64()
-		blk := r.Alias()
-		if err := r.Err(); err != nil {
-			return err
+	snap.Map(c, &s.flash, (*snap.Codec).U64, func(c *snap.Codec, b *flashBlock) {
+		c.Alias(&b.b)
+		b.shared = true
+		if len(b.b) != BlockSize {
+			c.Fail(fmt.Errorf("nvme: %s: snapshot flash block is %d bytes", s.Name, len(b.b)))
 		}
-		if len(blk) != BlockSize {
-			return fmt.Errorf("nvme: snapshot block %d is %d bytes", lba, len(blk))
+	})
+	return snap.Keyed(c, "nvme: "+s.Name+" QPs", s.qps, func(qid uint16, qp *devQP) error {
+		if qp.sqHead != qp.dbTail {
+			return fmt.Errorf("nvme: %s QP %d: not quiescent: unfetched SQEs (head=%d tail=%d)", s.Name, qid, qp.sqHead, qp.dbTail)
 		}
-		s.flash[lba] = flashBlock{b: blk, shared: true}
-	}
-
-	nQP := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nQP != len(s.qps) {
-		return fmt.Errorf("nvme: snapshot has %d QPs, %s has %d", nQP, s.Name, len(s.qps))
-	}
-	for i := 0; i < nQP; i++ {
-		qid := r.U16()
-		sqHead, cqTail := r.Int(), r.Int()
-		phase := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
+		if len(qp.cplPend) != 0 {
+			return fmt.Errorf("nvme: %s QP %d: not quiescent: %d pending completions", s.Name, qid, len(qp.cplPend))
 		}
-		qp, ok := s.qps[qid]
-		if !ok {
-			return fmt.Errorf("nvme: snapshot QP %d absent on %s", qid, s.Name)
+		if qp.kickQueued {
+			return fmt.Errorf("nvme: %s QP %d: not quiescent: a doorbell kick queued", s.Name, qid)
 		}
-		qp.sqHead, qp.dbTail = sqHead, sqHead
-		qp.cqTail, qp.cqHeadSee = cqTail, cqTail
-		qp.phase = phase
-	}
-	return r.Err()
+		if qp.cqHeadSee != qp.cqTail {
+			return fmt.Errorf("nvme: %s QP %d: not quiescent: unconsumed CQEs (seen=%d tail=%d)", s.Name, qid, qp.cqHeadSee, qp.cqTail)
+		}
+		c.Int(&qp.sqHead)
+		c.Int(&qp.cqTail)
+		c.Bool(&qp.phase)
+		if c.Loading() {
+			qp.dbTail, qp.cqHeadSee = qp.sqHead, qp.cqTail
+		}
+		return nil
+	})
 }
 
-// SnapSave encodes the submitter-side ring positions. A quiescent
-// submitter has no command outstanding.
-func (r *Ring) SnapSave(w *snap.Writer) error {
+// Snap codes the submitter-side ring positions. A quiescent submitter
+// has no command outstanding.
+func (r *Ring) Snap(c *snap.Codec) error {
 	if len(r.pending) != 0 {
-		return fmt.Errorf("nvme: checkpoint of ring %d with %d outstanding commands", r.cfg.QID, len(r.pending))
+		return fmt.Errorf("nvme: ring %d: not quiescent: %d outstanding commands", r.cfg.QID, len(r.pending))
 	}
-	w.Int(r.sqTail)
-	w.Int(r.cqHead)
-	w.Bool(r.phase)
-	w.U16(r.nextCID)
-	return nil
-}
-
-// SnapLoad overlays the captured ring positions.
-func (r *Ring) SnapLoad(rd *snap.Reader) error {
-	if len(r.pending) != 0 {
-		return fmt.Errorf("nvme: restore into ring %d with %d outstanding commands", r.cfg.QID, len(r.pending))
-	}
-	r.sqTail = rd.Int()
-	r.cqHead = rd.Int()
-	r.phase = rd.Bool()
-	r.nextCID = rd.U16()
-	return rd.Err()
+	c.Int(&r.sqTail)
+	c.Int(&r.cqHead)
+	c.Bool(&r.phase)
+	c.U16(&r.nextCID)
+	return c.Err()
 }

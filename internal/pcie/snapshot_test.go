@@ -13,11 +13,11 @@ import (
 // saveFabric checkpoints a rig's fabric into a standalone image.
 func saveFabric(t *testing.T, r *rig) []byte {
 	t.Helper()
-	w := snap.NewWriter(snap.Header{Version: snap.Version})
-	if err := r.fab.SnapSave(w); err != nil {
+	c := snap.NewSaver(snap.Header{Version: snap.Version})
+	if err := r.fab.Snap(c); err != nil {
 		t.Fatal(err)
 	}
-	return w.Finish()
+	return c.Finish()
 }
 
 // loadFabric restores an image into a freshly built rig.
@@ -28,7 +28,7 @@ func loadFabric(t *testing.T, img []byte) (*rig, error) {
 		t.Fatal(err)
 	}
 	r := newRig()
-	return r, r.fab.SnapLoad(rd)
+	return r, r.fab.Snap(snap.NewLoader(rd))
 }
 
 func TestSnapLoadRejectsRetiredClocks(t *testing.T) {
@@ -55,7 +55,7 @@ func TestSnapLoadRejectsRetiredClocks(t *testing.T) {
 
 	// The retired words: the switch-core clock right after the header
 	// and postedClock, and a port's up-link clock right after its name.
-	hdr := snap.NewWriter(snap.Header{}).Len()
+	hdr := snap.HeaderSize
 	cases := []struct {
 		what string
 		off  int

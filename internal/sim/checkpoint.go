@@ -2,7 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+
+	"dcsctrl/internal/sim/snap"
 )
 
 // Checkpoint support: capture and force the kernel's observable state
@@ -77,60 +78,37 @@ func (e *Env) ForceCheckpointState(s EnvState) error {
 	return nil
 }
 
-// AccumState is a Resource's utilization accounting, captured so
-// restored runs report the same busy fractions a straight run would.
-type AccumState struct {
-	Busy      Time
-	LastStamp Time
+// Snap codes the environment's kernel counters (Now, Seq, Steps,
+// Fused, IOs, Segments, SegFrames).
+func (s *EnvState) Snap(c *snap.Codec) error {
+	snap.Word(c, &s.Now)
+	for _, v := range []*uint64{&s.Seq, &s.Steps, &s.Fused, &s.IOs, &s.Segments, &s.SegFrames} {
+		c.U64(v)
+	}
+	return c.Err()
 }
 
-// CheckpointAccum captures the resource's busy accounting. It errors
+// Snap codes the resource's busy accounting, so restored runs report
+// the same busy fractions a straight run would. Either side errors
 // when units are held or waiters are parked: a checkpointable instant
-// must not have work in flight on the resource.
-func (r *Resource) CheckpointAccum() (AccumState, error) {
-	if r.inUse != 0 {
-		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d units in use", r.name, r.inUse)
-	}
-	if len(r.waiters) != 0 {
-		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d waiters", r.name, len(r.waiters))
-	}
-	return AccumState{Busy: r.busy, LastStamp: r.lastStamp}, nil
-}
-
-// RestoreAccum overlays captured busy accounting onto an idle resource.
-func (r *Resource) RestoreAccum(s AccumState) error {
+// has no work in flight on the resource.
+func (r *Resource) Snap(c *snap.Codec) error {
 	if r.inUse != 0 || len(r.waiters) != 0 {
-		return fmt.Errorf("sim: restore into busy resource %q", r.name)
+		return fmt.Errorf("sim: resource %q not quiescent: %d units in use, %d waiters", r.name, r.inUse, len(r.waiters))
 	}
-	r.busy = s.Busy
-	r.lastStamp = s.LastStamp
-	return nil
+	snap.Word(c, &r.busy)
+	snap.Word(c, &r.lastStamp)
+	return c.Err()
 }
 
-// BWState is a BandwidthServer's cumulative accounting.
-type BWState struct {
-	Accum AccumState
-	Bytes int64
-	Xfers int64
-}
-
-// CheckpointBW captures the server's cumulative counters.
-func (b *BandwidthServer) CheckpointBW() (BWState, error) {
-	a, err := b.res.CheckpointAccum()
-	if err != nil {
-		return BWState{}, err
-	}
-	return BWState{Accum: a, Bytes: b.bytes, Xfers: b.xfers}, nil
-}
-
-// RestoreBW overlays captured counters onto an idle server.
-func (b *BandwidthServer) RestoreBW(s BWState) error {
-	if err := b.res.RestoreAccum(s.Accum); err != nil {
+// Snap codes the server's cumulative accounting.
+func (b *BandwidthServer) Snap(c *snap.Codec) error {
+	if err := b.res.Snap(c); err != nil {
 		return err
 	}
-	b.bytes = s.Bytes
-	b.xfers = s.Xfers
-	return nil
+	c.I64(&b.bytes)
+	c.I64(&b.xfers)
+	return c.Err()
 }
 
 // WaiterNames returns the names of the processes currently enrolled on
@@ -174,43 +152,22 @@ func (c *Cond) ReorderWaiters(names []string) error {
 	return nil
 }
 
-// CheckpointQueue returns a copy of the queue's live items in FIFO
-// order. Order is state: a restored queue must hand out items in the
-// exact sequence the straight run would.
-func CheckpointQueue[T any](q *Queue[T]) []T {
-	return append([]T(nil), q.items[q.itemHead:]...)
-}
-
-// RestoreQueue replaces the queue's content with items. A non-empty
-// restore into a queue with parked waiters is inconsistent state — a
-// Put would have woken one — and errors.
-func RestoreQueue[T any](q *Queue[T], items []T) error {
+// SnapQueue codes the queue's live items in FIFO order. Order is
+// state: a restored queue must hand out items in the exact sequence
+// the straight run would. A non-empty restore into a queue with parked
+// waiters is inconsistent state — a Put would have woken one — and
+// errors.
+func SnapQueue[T any](c *snap.Codec, q *Queue[T], elem func(*snap.Codec, *T)) error {
+	items := q.items[q.itemHead:]
+	snap.Seq(c, &items, elem)
+	if !c.Loading() || c.Err() != nil {
+		return c.Err()
+	}
 	if len(items) > 0 && q.waitHead < len(q.waiters) {
 		return fmt.Errorf("sim: restore of %d items into queue %q with waiters", len(items), q.name)
 	}
-	var zero T
-	for i := range q.items {
-		q.items[i] = zero
-	}
-	q.items = append(q.items[:0], items...)
-	q.itemHead = 0
-	if q.maxLen < len(items) {
-		q.maxLen = len(items)
-	}
+	clear(q.items[min(q.itemHead+len(items), len(q.items)):]) // stale tail
+	q.items, q.itemHead = items, 0
+	q.maxLen = max(q.maxLen, len(items))
 	return nil
-}
-
-// QueueWaiterCount reports how many processes are parked on Get.
-func QueueWaiterCount[T any](q *Queue[T]) int { return len(q.waiters) - q.waitHead }
-
-// SortedKeys returns the map's keys in sorted order — the collect/
-// sort/index idiom snapshot encoders use so encode order can never
-// leak map iteration order (dcslint maporder).
-func SortedKeys[K ~uint64 | ~uint32 | ~uint16 | ~int | ~string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

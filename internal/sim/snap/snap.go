@@ -5,11 +5,12 @@
 //
 // The format is deliberately dumb: a fixed header (magic, version,
 // knob flags, configuration fingerprint), a sequence of named
-// length-prefixed sections written by per-device Snapshotters in a
-// fixed registration order, and a trailing FNV-1a digest over
-// everything before it. Encode order is fully deterministic — map-
-// keyed state must be collected, sorted, and indexed before encoding
-// (the dcslint maporder analyzer enforces the idiom) — so the same
+// length-prefixed sections in a fixed order, and a trailing FNV-1a
+// digest over everything before it. Every stateful type states its
+// layout once, as a Snap(*Codec) error method that runs in either
+// direction (see Codec). Encode order is fully deterministic — map-
+// keyed state goes through Map/MapFunc, which sort the keys (the
+// dcslint maporder analyzer enforces the idiom) — so the same
 // simulator state always produces the same bytes, and checkpoint
 // artifacts can be content-addressed and re-verified byte-for-byte.
 //
@@ -20,8 +21,11 @@
 package snap
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 )
 
 // Magic identifies a checkpoint buffer ("DCSS" little-endian).
@@ -48,26 +52,11 @@ type Header struct {
 	Config  uint64 // configuration fingerprint (FNV-1a of the config string)
 }
 
-// headerSize is magic + version + flags + config.
-const headerSize = 4 + 4 + 4 + 8
+// HeaderSize is the encoded header: magic + version + flags + config.
+const HeaderSize = 4 + 4 + 4 + 8
 
-// digestSize is the trailing FNV-1a 64-bit digest.
-const digestSize = 8
-
-// Snapshotter is one source of checkpoint state: a device model, a
-// memory map, a fault injector. Save must be strictly read-only on
-// simulator state (a snapshot must never perturb the run it captures)
-// and must error when the subsystem is not quiescent; Load overlays
-// the decoded state onto a freshly built, settled instance of the same
-// configuration.
-type Snapshotter interface {
-	// SnapSection returns the section name, unique within a checkpoint.
-	SnapSection() string
-	// SnapSave encodes the subsystem's state.
-	SnapSave(w *Writer) error
-	// SnapLoad decodes and overlays the subsystem's state.
-	SnapLoad(r *Reader) error
-}
+// DigestSize is the trailing FNV-1a 64-bit digest.
+const DigestSize = 8
 
 // Writer builds a checkpoint buffer. All integers are little-endian.
 type Writer struct {
@@ -158,11 +147,8 @@ func (w *Writer) Finish() []byte {
 	return w.buf
 }
 
-// Len returns the number of bytes encoded so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
-// Grow ensures capacity for at least n more bytes. Snapshotters with
-// a known payload size (a memory map's captured pages, a flash block
+// Grow ensures capacity for at least n more bytes. Layouts with a
+// known payload size (a memory map's captured pages, a flash block
 // count) call it so multi-megabyte sections append without repeated
 // reallocation. Capacity grows at least geometrically, so a sequence
 // of Grow calls recopies the checkpoint built so far only a
@@ -275,12 +261,12 @@ func Open(data []byte) (*Reader, Header, error) { return open(data, true) }
 func OpenTrusted(data []byte) (*Reader, Header, error) { return open(data, false) }
 
 func open(data []byte, verify bool) (*Reader, Header, error) {
-	if len(data) < headerSize+digestSize {
+	if len(data) < HeaderSize+DigestSize {
 		return nil, Header{}, fmt.Errorf("snap: truncated checkpoint (%d bytes)", len(data))
 	}
-	body := data[:len(data)-digestSize]
+	body := data[:len(data)-DigestSize]
 	if verify {
-		want := binary.LittleEndian.Uint64(data[len(data)-digestSize:])
+		want := binary.LittleEndian.Uint64(data[len(data)-DigestSize:])
 		if got := fnv1a(body); got != want {
 			return nil, Header{}, fmt.Errorf("snap: digest mismatch (corrupt checkpoint): got %#x want %#x", got, want)
 		}
@@ -486,6 +472,311 @@ func (r *Reader) LoadSparseBytes(dst []byte) error {
 func (r *Reader) Alias() []byte {
 	n := r.u32()
 	return r.take(int(n))
+}
+
+// Codec runs one checkpoint layout in either direction, so each type
+// states its layout once — as a Snap(*Codec) error method — instead
+// of as an encoder and a decoder that must agree. Every primitive
+// takes a pointer: saving encodes the pointed-to value and never
+// writes through the pointer; loading decodes into it. Setup-determined
+// values (counts, names, cursors the restore target rebuilds by
+// running the same setup) go through Expect/Len, which the save side
+// writes and the load side verifies. Only state whose two sides really
+// differ — sparse images, pool priming, maps rebuilt from the image,
+// derived cursors — branches on Loading.
+//
+// Errors are sticky: after the first failure every primitive leaves
+// its value untouched and Err reports the original cause, so a layout
+// needs only one check at its end.
+type Codec struct {
+	w   *Writer // save mode
+	r   *Reader // load mode
+	err error   // save-mode failure (load mode keeps it in r)
+}
+
+// NewSaver returns a save-mode codec with the header already encoded.
+func NewSaver(h Header) *Codec { return &Codec{w: NewWriter(h)} }
+
+// NewLoader returns a load-mode codec reading from r (see Open).
+func NewLoader(r *Reader) *Codec { return &Codec{r: r} }
+
+// Loading reports whether the codec decodes into live state.
+func (c *Codec) Loading() bool { return c.r != nil }
+
+// Err returns the first failure, if any.
+func (c *Codec) Err() error {
+	if c.r != nil {
+		return c.r.err
+	}
+	return c.err
+}
+
+// Fail records err as the codec's failure unless one is already set;
+// an error that wraps the recorded one replaces it, so context added
+// on the way out is kept.
+func (c *Codec) Fail(err error) {
+	p := &c.err
+	if c.r != nil {
+		p = &c.r.err
+	}
+	if *p == nil || errors.Is(err, *p) {
+		*p = err
+	}
+}
+
+// Finish appends the digest and returns the checkpoint bytes of a
+// save-mode codec.
+func (c *Codec) Finish() []byte { return c.w.Finish() }
+
+// Grow reserves capacity for n more saved bytes (see Writer.Grow).
+func (c *Codec) Grow(n int) {
+	if c.w != nil {
+		c.w.Grow(n)
+	}
+}
+
+// Section codes one named length-prefixed section whose content fn
+// lays out. An error returned by fn becomes the codec's failure, and
+// a failure inside the section is prefixed with its name. A codec
+// that has already failed skips the section, so sections chain
+// without checks in between.
+func (c *Codec) Section(name string, fn func() error) error {
+	if c.Err() != nil {
+		return c.Err()
+	}
+	if c.w != nil {
+		c.w.Section(name)
+	} else if c.r.Section(name) != nil {
+		return c.Err()
+	}
+	if err := fn(); err != nil {
+		c.Fail(err)
+	}
+	if c.w != nil {
+		c.w.EndSection()
+	} else {
+		c.r.EndSection()
+	}
+	if err := c.Err(); err != nil {
+		c.Fail(fmt.Errorf("%s: %w", name, err))
+	}
+	return c.Err()
+}
+
+// code runs one primitive: put on save, get on load (stored only when
+// the read succeeded).
+func code[T any](c *Codec, v *T, put func(*Writer, T), get func(*Reader) T) {
+	if c.w != nil {
+		put(c.w, *v)
+	} else if x := get(c.r); c.r.err == nil {
+		*v = x
+	}
+}
+
+// Word codes any 64-bit-wide integer type (sim.Time, mem.Addr, int)
+// as eight little-endian bytes.
+func Word[T ~int | ~int64 | ~uint64](c *Codec, v *T) {
+	code(c, v, func(w *Writer, x T) { w.u64(uint64(x)) }, func(r *Reader) T { return T(r.u64()) })
+}
+
+// U16 codes a 16-bit integer.
+func (c *Codec) U16(v *uint16) { code(c, v, (*Writer).U16, (*Reader).U16) }
+
+// U32 codes a 32-bit integer.
+func (c *Codec) U32(v *uint32) { code(c, v, (*Writer).U32, (*Reader).U32) }
+
+// U64 codes a 64-bit integer.
+func (c *Codec) U64(v *uint64) { Word(c, v) }
+
+// I64 codes a signed 64-bit integer.
+func (c *Codec) I64(v *int64) { Word(c, v) }
+
+// Int codes an int as a signed 64-bit integer.
+func (c *Codec) Int(v *int) { Word(c, v) }
+
+// Bool codes a boolean as one byte.
+func (c *Codec) Bool(v *bool) { code(c, v, (*Writer).Bool, (*Reader).Bool) }
+
+// Str codes a length-prefixed string.
+func (c *Codec) Str(v *string) { code(c, v, (*Writer).Str, (*Reader).Str) }
+
+// Bytes codes a length-prefixed byte slice; load stores a copy.
+func (c *Codec) Bytes(v *[]byte) { code(c, v, (*Writer).Bytes, (*Reader).Bytes) }
+
+// Alias codes a length-prefixed byte slice like Bytes, but load
+// stores a slice of the checkpoint buffer (see Reader.Alias).
+func (c *Codec) Alias(v *[]byte) { code(c, v, (*Writer).Bytes, (*Reader).Alias) }
+
+// Expect codes a setup-determined value: save writes live, load reads
+// the image's value and fails with a labelled error unless it equals
+// live. The encoding follows live's type (bool, uint16, uint32,
+// uint64, int64, int, string), as the matching primitive would.
+func (c *Codec) Expect(label string, live any) {
+	switch v := live.(type) {
+	case bool:
+		expect(c, label, v, (*Codec).Bool)
+	case uint16:
+		expect(c, label, v, (*Codec).U16)
+	case uint32:
+		expect(c, label, v, (*Codec).U32)
+	case uint64:
+		expect(c, label, v, (*Codec).U64)
+	case int64:
+		expect(c, label, v, (*Codec).I64)
+	case int:
+		expect(c, label, v, (*Codec).Int)
+	case string:
+		expect(c, label, v, (*Codec).Str)
+	default:
+		panic(fmt.Sprintf("snap: Expect of unsupported type %T", live))
+	}
+}
+
+func expect[T comparable](c *Codec, label string, live T, code func(*Codec, *T)) {
+	got := live
+	code(c, &got)
+	if got != live {
+		c.Fail(fmt.Errorf("%s: snapshot holds %v, live state has %v", label, got, live))
+	}
+}
+
+// Len codes a setup-determined element count as a 32-bit Expect.
+func (c *Codec) Len(label string, n int) { c.Expect(label, uint32(n)) }
+
+// All lays out each part in order, stopping at the first failure.
+func All(c *Codec, parts ...interface{ Snap(*Codec) error }) error {
+	for _, p := range parts {
+		if c.Err() != nil {
+			break
+		}
+		if err := p.Snap(c); err != nil {
+			c.Fail(err)
+		}
+	}
+	return c.Err()
+}
+
+// Each codes a setup-determined list: the length is checked with Len,
+// then every element lays itself out in order.
+func Each[T interface{ Snap(*Codec) error }](c *Codec, label string, xs []T) error {
+	c.Len(label, len(xs))
+	for _, x := range xs {
+		All(c, x)
+	}
+	return c.Err()
+}
+
+// Seq codes a slice as a 32-bit length and its elements in order. On
+// load *s is refilled from the image, reusing its backing array.
+func Seq[T any](c *Codec, s *[]T, elem func(*Codec, *T)) {
+	n := uint32(len(*s))
+	c.U32(&n)
+	if c.w != nil {
+		for i := range *s {
+			x := (*s)[i]
+			elem(c, &x)
+		}
+		return
+	}
+	*s = (*s)[:0]
+	for i := uint32(0); i < n && c.Err() == nil; i++ {
+		*s = append(*s, *new(T))
+		elem(c, &(*s)[i])
+	}
+}
+
+// Map codes a map that load rebuilds from the image, in ascending key
+// order (see MapFunc).
+func Map[K cmp.Ordered, V any](c *Codec, m *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
+	MapFunc(c, m, cmp.Compare[K], key, val)
+}
+
+// MapFunc codes a map as a 32-bit count and then each entry's key and
+// value, keys in the order order sorts them, so the bytes never depend
+// on Go's map iteration order. On load *m is replaced by a map rebuilt
+// from the image.
+func MapFunc[K comparable, V any](c *Codec, m *map[K]V, order func(a, b K) int, key func(*Codec, *K), val func(*Codec, *V)) {
+	if c.w != nil {
+		keys := make([]K, 0, len(*m))
+		for k := range *m {
+			keys = append(keys, k)
+		}
+		slices.SortFunc(keys, order)
+		c.w.U32(uint32(len(keys)))
+		for _, k := range keys {
+			v := (*m)[k]
+			key(c, &k)
+			val(c, &v)
+		}
+		return
+	}
+	n := int(c.r.U32())
+	*m = make(map[K]V, n)
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var k K
+		var v V
+		key(c, &k)
+		val(c, &v)
+		(*m)[k] = v
+	}
+}
+
+// Keyed codes a map whose key set is setup-determined: the count and
+// each key, ascending, are checked with Expect, and val lays out each
+// entry's state in place.
+func Keyed[K cmp.Ordered, V any](c *Codec, label string, m map[K]V, val func(K, V) error) error {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	c.Len(label, len(keys))
+	for _, k := range keys {
+		c.Expect(label+" key", k)
+		if c.Err() != nil {
+			break
+		}
+		if err := val(k, m[k]); err != nil {
+			c.Fail(err)
+		}
+	}
+	return c.Err()
+}
+
+// Page is one captured page of a sparse image.
+type Page struct {
+	Idx int
+	B   []byte
+}
+
+// Sparse codes a sparse image of a size-byte span. Save encodes pages,
+// the span's non-zero pages in ascending index order; load ignores
+// pages and hands each decoded page to put, aliasing the checkpoint
+// buffer (put must copy before writing).
+func (c *Codec) Sparse(size uint64, pages []Page, put func(idx int, p []byte)) {
+	if c.w != nil {
+		c.w.SparseHeader(size, len(pages))
+		for _, p := range pages {
+			c.w.SparsePage(p.Idx, p.B)
+		}
+		return
+	}
+	for i, n, prev := 0, c.r.SparseHeader(size), -1; i < n && c.r.err == nil; i++ {
+		if idx, p := c.r.SparsePage(prev, size); c.r.err == nil {
+			put(idx, p)
+			prev = idx
+		}
+	}
+}
+
+// SparseBytes codes data as a sparse image of a flat slice: save
+// encodes it, load overwrites it with the exact saved image.
+func (c *Codec) SparseBytes(data []byte) {
+	if c.w != nil {
+		c.w.SparseBytes(data)
+	} else {
+		c.r.LoadSparseBytes(data)
+	}
 }
 
 // fnv1a computes a 64-bit FNV-1a-style digest of b, folding eight

@@ -2,7 +2,12 @@ package snap
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -225,5 +230,219 @@ func TestSparseAuthoritative(t *testing.T) {
 	}
 	if !bytes.Equal(src, dst) {
 		t.Fatal("sparse restore is not an authoritative image")
+	}
+}
+
+// codecState exercises every Codec primitive and helper once.
+type codecState struct {
+	A    uint16
+	B    uint32
+	C    uint64
+	D    int64
+	E    int
+	F    bool
+	S    string
+	Raw  []byte
+	T    stamp // a named 64-bit type, coded through Word
+	Seq  []uint64
+	M    map[string]int64
+	Span []byte
+}
+
+type stamp int64
+
+const spanLen = 2*PageSize + 77
+
+// layout is the single codec method of codecState.
+func (s *codecState) layout(c *Codec) error {
+	return c.Section("state", func() error {
+		c.U16(&s.A)
+		c.U32(&s.B)
+		c.U64(&s.C)
+		c.I64(&s.D)
+		c.Int(&s.E)
+		c.Bool(&s.F)
+		c.Str(&s.S)
+		c.Bytes(&s.Raw)
+		Word(c, &s.T)
+		Seq(c, &s.Seq, (*Codec).U64)
+		Map(c, &s.M, (*Codec).Str, (*Codec).I64)
+		c.SparseBytes(s.Span)
+		c.Expect("setup name", "fixed")
+		c.Len("setup count", 3)
+		return nil
+	})
+}
+
+// writeState encodes the same sequence with the Writer primitives.
+func writeState(w *Writer, s *codecState) {
+	w.Section("state")
+	w.U16(s.A)
+	w.U32(s.B)
+	w.U64(s.C)
+	w.I64(s.D)
+	w.Int(s.E)
+	w.Bool(s.F)
+	w.Str(s.S)
+	w.Bytes(s.Raw)
+	w.I64(int64(s.T))
+	w.U32(uint32(len(s.Seq)))
+	for _, v := range s.Seq {
+		w.U64(v)
+	}
+	keys := make([]string, 0, len(s.M))
+	for k := range s.M {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	w.U32(uint32(len(keys)))
+	for _, k := range keys {
+		w.Str(k)
+		w.I64(s.M[k])
+	}
+	w.SparseBytes(s.Span)
+	w.Str("fixed")
+	w.U32(3)
+	w.EndSection()
+}
+
+func (s *codecState) clone() *codecState {
+	d := *s
+	d.Raw = append([]byte(nil), s.Raw...)
+	d.Seq = append([]uint64(nil), s.Seq...)
+	d.M = maps.Clone(s.M)
+	d.Span = append([]byte(nil), s.Span...)
+	return &d
+}
+
+// equal compares field by field, treating nil and empty alike.
+func (s *codecState) equal(o *codecState) bool {
+	return s.A == o.A && s.B == o.B && s.C == o.C && s.D == o.D && s.E == o.E &&
+		s.F == o.F && s.S == o.S && bytes.Equal(s.Raw, o.Raw) && s.T == o.T &&
+		slices.Equal(s.Seq, o.Seq) && maps.Equal(s.M, o.M) && bytes.Equal(s.Span, o.Span)
+}
+
+func randomState(rng *rand.Rand) *codecState {
+	s := &codecState{
+		A: uint16(rng.Uint32()), B: rng.Uint32(), C: rng.Uint64(), D: rng.Int63() - rng.Int63(),
+		E: rng.Int() - rng.Int(), F: rng.Intn(2) == 1, S: fmt.Sprint(rng.Int63()),
+		Raw: make([]byte, rng.Intn(40)), T: stamp(rng.Int63()),
+		M: map[string]int64{}, Span: make([]byte, spanLen),
+	}
+	rng.Read(s.Raw)
+	for i := rng.Intn(6); i > 0; i-- {
+		s.Seq = append(s.Seq, rng.Uint64())
+		s.M[fmt.Sprint("k", rng.Intn(1000))] = rng.Int63()
+	}
+	for i := rng.Intn(20); i > 0; i-- {
+		s.Span[rng.Intn(spanLen)] = byte(rng.Intn(256))
+	}
+	return s
+}
+
+func saveState(t *testing.T, s *codecState) []byte {
+	t.Helper()
+	c := NewSaver(Header{Version: Version})
+	if err := s.layout(c); err != nil {
+		t.Fatal(err)
+	}
+	return c.Finish()
+}
+
+func loadState(t *testing.T, data []byte, into *codecState) error {
+	t.Helper()
+	r, _, err := Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return into.layout(NewLoader(r))
+}
+
+// TestCodecRoundTrip: every primitive and helper round-trips
+// save → load, the save leaves the pointed-to values unchanged, and
+// the bytes equal what the Writer primitives emit for the same
+// sequence.
+func TestCodecRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(testSeed))
+	for i := 0; i < 200; i++ {
+		src := randomState(rng)
+		before := src.clone()
+		data := saveState(t, src)
+		if !src.equal(before) {
+			t.Fatalf("case %d: save changed the state it coded", i)
+		}
+		w := NewWriter(Header{Version: Version})
+		writeState(w, before)
+		if !bytes.Equal(data, w.Finish()) {
+			t.Fatalf("case %d: codec bytes differ from the Writer's", i)
+		}
+		dst := randomState(rng) // stale content everywhere: load must overwrite it
+		if err := loadState(t, data, dst); err != nil {
+			t.Fatalf("case %d: load: %v", i, err)
+		}
+		if !dst.equal(src) {
+			t.Fatalf("case %d: round trip lost state:\n got %+v\nwant %+v", i, dst, src)
+		}
+	}
+}
+
+// TestCodecExpectMismatch: a setup-determined value that differs
+// between the image and the live state fails the load with an error
+// naming its label, on either helper.
+func TestCodecExpectMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		label string
+		code  func(c *Codec, live int)
+	}{
+		{"connection count", func(c *Codec, live int) { c.Len("connection count", live) }},
+		{"placement cursor", func(c *Codec, live int) { c.Expect("placement cursor", live) }},
+		{"region name", func(c *Codec, live int) { c.Expect("region name", fmt.Sprint("r", live)) }},
+	} {
+		c := NewSaver(Header{Version: Version})
+		tc.code(c, 4)
+		r, _, err := Open(c.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc := NewLoader(r)
+		tc.code(lc, 3)
+		if err := lc.Err(); err == nil || !strings.Contains(err.Error(), tc.label) {
+			t.Fatalf("%s: load against a different live value returned %v", tc.label, err)
+		}
+	}
+}
+
+// TestCodecErrorsSticky: after the first failure every primitive
+// leaves its value untouched, later failures do not replace the
+// first, and later sections are skipped.
+func TestCodecErrorsSticky(t *testing.T) {
+	c := NewSaver(Header{Version: Version})
+	c.Section("a", func() error {
+		c.Len("slots", 2)
+		v := uint64(7)
+		c.U64(&v)
+		return nil
+	})
+	r, _, err := Open(c.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLoader(r)
+	v := uint64(99)
+	err = lc.Section("a", func() error {
+		lc.Len("slots", 5)
+		lc.U64(&v)
+		lc.Fail(fmt.Errorf("a later failure"))
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "slots") || strings.Contains(err.Error(), "later") {
+		t.Fatalf("first failure not kept: %v", err)
+	}
+	if v != 99 {
+		t.Fatalf("primitive after a failure overwrote its value: %d", v)
+	}
+	ran := false
+	if lc.Section("b", func() error { ran = true; return nil }) != lc.Err() || ran {
+		t.Fatal("section after a failure ran")
 	}
 }

@@ -1,40 +1,15 @@
 package trace
 
 import (
-	"sort"
-
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
 )
 
-// Checkpoint support (DESIGN.md §17): the account's window start and
-// per-category busy map, categories sorted so encode order never
-// leaks map iteration order.
-
-// SnapSave encodes the account state.
-func (a *CPUAccount) SnapSave(w *snap.Writer) error {
-	w.I64(int64(a.start))
-	cats := make([]Category, 0, len(a.busy))
-	for c := range a.busy {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	w.U32(uint32(len(cats)))
-	for _, c := range cats {
-		w.Str(string(c))
-		w.I64(int64(a.busy[c]))
-	}
-	return nil
-}
-
-// SnapLoad replaces the account state with the captured one.
-func (a *CPUAccount) SnapLoad(r *snap.Reader) error {
-	a.start = sim.Time(r.I64())
-	n := int(r.U32())
-	a.busy = make(map[Category]sim.Time, n)
-	for i := 0; i < n; i++ {
-		c := Category(r.Str())
-		a.busy[c] = sim.Time(r.I64())
-	}
-	return r.Err()
+// Snap codes the account's window start and per-category busy map
+// (DESIGN.md §17), categories sorted so encode order never leaks map
+// iteration order.
+func (a *CPUAccount) Snap(c *snap.Codec) error {
+	snap.Word(c, &a.start)
+	snap.Map(c, &a.busy, func(c *snap.Codec, k *Category) { c.Str((*string)(k)) }, snap.Word[sim.Time])
+	return c.Err()
 }
