@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"fmt"
-	"sort"
 
 	"dcsctrl/internal/ether"
 	"dcsctrl/internal/mem"
@@ -539,26 +538,6 @@ func (c *NICCtrl) lookupByTuple(t ether.Tuple) *conn {
 		}
 	}
 	return nil
-}
-
-// DebugState prints receive-side state (diagnostics).
-func (c *NICCtrl) DebugState() string {
-	out := fmt.Sprintf("recvPkts=%d gathered=%d sendJobs=%d pool(free=%d low=%d) recvQ=%d pendTx=%d",
-		c.recvPkts, c.gatheredBytes, c.sendJobs, c.eng.recvPool.Free(), c.eng.recvPool.LowWater(), c.recvQ.Len(), len(c.pendTx))
-	ids := make([]uint64, 0, len(c.conns))
-	for id := range c.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		cn := c.conns[id]
-		w := -1
-		if cn.waiter != nil {
-			w = cn.waiter.want
-		}
-		out += fmt.Sprintf("\n  conn %d: rxSeq=%d avail=%d waiterWant=%d txSeq=%d", id, cn.rxSeq, cn.rxALen, w, cn.txSeq)
-	}
-	return out
 }
 
 // tryGather satisfies the connection's pending receive request when

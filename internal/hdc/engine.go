@@ -14,7 +14,6 @@ import (
 	"dcsctrl/internal/nvme"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
-	"dcsctrl/internal/trace"
 )
 
 // Completion statuses the engine writes to the host completion ring.
@@ -442,7 +441,7 @@ func (e *Engine) completerLoop(p *sim.Proc) {
 				e.fab.Mem().Write(e.cplBuf+mem.Addr(i*CplEntrySize), entry[:])
 			}
 			slot := int(e.cplCount % uint64(e.params.CmdQueueEntries))
-			e.cplExts = ringExtents(e.cplExts[:0], e.host.CplRing.Base, slot, k,
+			e.cplExts = mem.RingExtents(e.cplExts[:0], e.host.CplRing.Base, slot, k,
 				e.params.CmdQueueEntries, CplEntrySize)
 			e.fab.MustDMAVec(p, e.port, e.cplBuf, e.cplExts, false)
 			e.cplCount += uint64(k)
@@ -455,20 +454,6 @@ func (e *Engine) completerLoop(p *sim.Proc) {
 		e.submitted = e.submitted[k:]
 		e.cmdsDone += int64(k)
 	}
-}
-
-// ringExtents maps n consecutive ring slots starting at head to at most
-// two extents (one wrap), appending to exts.
-func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []mem.Extent {
-	first := entries - head
-	if first > n {
-		first = n
-	}
-	exts = append(exts, mem.Extent{Addr: base + mem.Addr(uint64(head)*uint64(esz)), Len: first * esz})
-	if n > first {
-		exts = append(exts, mem.Extent{Addr: base, Len: (n - first) * esz})
-	}
-	return exts
 }
 
 func (e *Engine) headFinished() bool {
@@ -536,33 +521,4 @@ func (e *Engine) AdoptConnections() []AdoptedConn {
 		out = append(out, AdoptedConn{ID: id, Flow: flow, TxSeq: txSeq, RxSeq: rxSeq, Buffered: buffered})
 	}
 	return out
-}
-
-// DebugState prints engine state (diagnostics).
-func (e *Engine) DebugState() string {
-	out := fmt.Sprintf("cmds: head=%d tail=%d done=%d submitted=%v finishedIDs=%d chunks(free=%d low=%d) sbLive=%d",
-		e.cmdHead, e.cmdTail, e.cmdsDone, e.submitted, len(e.finished), e.chunks.Free(), e.chunks.LowWater(), e.sb.Live())
-	for _, ctl := range e.nicCtls {
-		out += "\n" + ctl.DebugState()
-	}
-	return out
-}
-
-// Counters exposes key engine counters for reporting.
-func (e *Engine) Counters() *trace.Counter {
-	c := trace.NewCounter()
-	c.Inc("cmds-done", e.cmdsDone)
-	issued, done := e.sb.Stats()
-	c.Inc("sb-issued", issued)
-	c.Inc("sb-done", done)
-	for i, ctl := range e.nvmeCtls {
-		c.Inc(fmt.Sprintf("nvme%d-cmds", i), ctl.cmds)
-		c.Inc(fmt.Sprintf("nvme%d-retries", i), ctl.retries)
-	}
-	for i, ctl := range e.nicCtls {
-		c.Inc(fmt.Sprintf("nic%d-send-jobs", i), ctl.sendJobs)
-		c.Inc(fmt.Sprintf("nic%d-recv-pkts", i), ctl.recvPkts)
-		c.Inc(fmt.Sprintf("nic%d-gathered-bytes", i), ctl.gatheredBytes)
-	}
-	return c
 }

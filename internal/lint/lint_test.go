@@ -39,7 +39,7 @@ func TestShardSafe(t *testing.T) {
 
 func TestNoBlockHandler(t *testing.T) {
 	// The kernel package joins the facts set: park-capability is
-	// reverse reachability from (*sim.Proc).park, which needs the
+	// reverse reachability from (*sim.Proc).Park, which needs the
 	// kernel's own bodies, not just its API surface.
 	analysistest.RunModule(t, lint.NoBlockHandler,
 		filepath.Join("testdata", "src", "noblockhandler"), "dcsctrl/internal/sim")

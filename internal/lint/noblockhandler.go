@@ -11,7 +11,7 @@ import "go/token"
 // transitively calls the kernel's park — the kernel panics at runtime
 // mid-simulation. This analyzer makes that contract a compile-time
 // property: it computes the set of park-capable functions (everything
-// from which (*sim.Proc).park is reachable over static call edges),
+// from which (*sim.Proc).Park is reachable over static call edges),
 // then walks the call graph from every registered handler body and
 // flags each edge that crosses into the park-capable set, with the
 // root → sink chain in the diagnostic. Dynamic calls (interface
@@ -24,7 +24,7 @@ var NoBlockHandler = &ModuleAnalyzer{
 		"Walks the module call graph from every sim.Env.SpawnHandler " +
 		"registration and flags calls into park-capable kernel APIs " +
 		"(Sleep, Yield, Wait, Get, Acquire, Transfer — anything that " +
-		"reaches Proc.park) and unprovable dynamic calls, each with its " +
+		"reaches Proc.Park) and unprovable dynamic calls, each with its " +
 		"root → sink chain. Handler procs run inline on the dispatcher; " +
 		"waiting must be expressed by re-arming on a Signal/Cond edge " +
 		"or the non-blocking H variants. Suppress a proven-safe site " +
@@ -102,14 +102,14 @@ func descendToKernelSink(facts *Facts, parkCapable map[*FuncFacts]bool, callee *
 }
 
 // parkCapableSet computes the transitive closure of "calls
-// (*sim.Proc).park" over static call edges — the functions a handler
+// (*sim.Proc).Park" over static call edges — the functions a handler
 // body must never reach. Returns nil when the kernel package (and so
-// park itself) is not loaded.
+// Park itself) is not loaded.
 func parkCapableSet(facts *Facts) map[*FuncFacts]bool {
 	capable := map[*FuncFacts]bool{}
 	for _, ff := range facts.All {
 		if ff.Fn != nil && ff.Fn.Pkg() != nil && ff.Fn.Pkg().Path() == SimKernelPath &&
-			recvTypeName(ff.Fn) == "Proc" && ff.Fn.Name() == "park" {
+			recvTypeName(ff.Fn) == "Proc" && ff.Fn.Name() == "Park" {
 			capable[ff] = true
 		}
 	}
@@ -141,7 +141,7 @@ func parkCapableSet(facts *Facts) map[*FuncFacts]bool {
 // BFS stops at the park-capable boundary: the first call edge into the
 // set is the diagnostic, extended down the park-capable chain to the
 // kernel API actually parking (so it names Queue.Get, not a
-// module-local wrapper and not the kernel-internal park). External
+// module-local wrapper and not the kernel's Park). External
 // (non-module) calls are safe by construction — only kernel code can
 // park.
 func checkHandlerRoot(pass *ModulePass, facts *Facts, root *FuncFacts, parkCapable map[*FuncFacts]bool, reported map[token.Pos]bool) {

@@ -420,9 +420,6 @@ func (r *Region) Alloc(n uint64, align uint64) Addr {
 	return r.Base + Addr(off)
 }
 
-// AllocBytes returns the allocated span's free space remaining.
-func (r *Region) FreeBytes() uint64 { return r.Size - r.allocOff }
-
 // Map is the global bus address map: it assigns bases to regions and
 // resolves addresses back to (region, offset).
 type Map struct {
@@ -485,13 +482,6 @@ func (m *Map) MustResolve(addr Addr) (*Region, uint64) {
 	}
 	return r, off
 }
-
-// Regions returns all mapped regions in address order. The returned
-// slice is the map's own backing store, not a copy: callers must only
-// iterate it (audited — internal/report and the tests do exactly
-// that) and must not append to, reorder, or mutate it. Returning the
-// live slice keeps per-call cost at zero for hot diagnostics.
-func (m *Map) Regions() []*Region { return m.regions }
 
 // Write copies p to the absolute address addr.
 func (m *Map) Write(addr Addr, p []byte) {

@@ -77,6 +77,18 @@ type Extent struct {
 	Len  int
 }
 
+// RingExtents appends the wrap-aware extents (at most two) covering n
+// consecutive entries of size esz starting at slot head in a ring of
+// entries slots based at base.
+func RingExtents(exts []Extent, base Addr, head, n, entries, esz int) []Extent {
+	first := min(entries-head, n)
+	exts = append(exts, Extent{Addr: base + Addr(uint64(head)*uint64(esz)), Len: first * esz})
+	if n > first {
+		exts = append(exts, Extent{Addr: base, Len: (n - first) * esz})
+	}
+	return exts
+}
+
 // Add appends an extent.
 func (s *ScatterList) Add(a Addr, n int) {
 	s.Extents = append(s.Extents, Extent{Addr: a, Len: n})

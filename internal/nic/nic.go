@@ -513,7 +513,7 @@ func (n *NIC) fetchSendBDs(p *sim.Proc, q *nicQueue) {
 		return
 	}
 	slot := int(q.sendFetched % uint64(q.cfg.SendEntries))
-	exts := ringExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, avail, q.cfg.SendEntries, SendBDSize)
+	exts := mem.RingExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, avail, q.cfg.SendEntries, SendBDSize)
 	q.sendExts = exts
 	n.fab.MustDMAVec(p, n.port, q.bdStage, exts, true)
 	p.Sleep(n.params.BDFetch)
@@ -543,21 +543,6 @@ func (n *NIC) fetchSendBDs(p *sim.Proc, q *nicQueue) {
 		q.sbdCache = append(q.sbdCache, bd)
 	}
 	q.sendFetched += uint64(avail)
-}
-
-// ringExtents appends the wrap-aware extents (at most two) covering n
-// consecutive entries of size esz starting at slot head in a ring of
-// entries slots based at base.
-func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []mem.Extent {
-	first := entries - head
-	if first > n {
-		first = n
-	}
-	exts = append(exts, mem.Extent{Addr: base + mem.Addr(uint64(head)*uint64(esz)), Len: first * esz})
-	if n > first {
-		exts = append(exts, mem.Extent{Addr: base, Len: (n - first) * esz})
-	}
-	return exts
 }
 
 // txLoop consumes send BD chains, gathers buffers, applies LSO and
@@ -784,7 +769,7 @@ func (n *NIC) prepFlush(q *nicQueue) int {
 	stage.WriteAt(stageOff+uint64(k*RecvCplSize), cnt[:])
 
 	slot := int(q.cplFirst % uint64(q.cfg.RecvEntries))
-	exts := ringExtents(q.cplExts[:0], q.cfg.RecvCpl.Base, slot, k, q.cfg.RecvEntries, RecvCplSize)
+	exts := mem.RingExtents(q.cplExts[:0], q.cfg.RecvCpl.Base, slot, k, q.cfg.RecvEntries, RecvCplSize)
 	exts = append(exts, mem.Extent{Addr: q.cfg.RecvStatus, Len: 8})
 	q.cplExts = exts
 	return k
@@ -902,16 +887,6 @@ func (n *NIC) rxFill(p *sim.Proc, q *nicQueue, rf rxFrame) {
 	}
 	q.cplIssued++
 	q.rxPend.Put(rxPending{cpl: cpl, sig: sig, slot: slot, pay: len(pay)})
-}
-
-// DebugQueues reports per-queue ring state (diagnostics).
-func (n *NIC) DebugQueues() string {
-	out := fmt.Sprintf("%s: rxQ=%d txFIFO=%d", n.Name, n.rxQ.Len(), n.txFIFO.Len())
-	for _, q := range n.queueList {
-		out += fmt.Sprintf("\n  q%d: sendTail=%d sendHead=%d recvTail=%d recvHead=%d bdCache=%d cplBuf=%d cplN=%d rxFIFO=%d armed=%v",
-			q.cfg.QID, q.sendTail, q.sendHead, q.recvTail, q.recvHead, q.bdLen(), len(q.cplBuf), q.recvCplN, q.rxFIFO.Len(), q.armed)
-	}
-	return out
 }
 
 func le64(b []byte) uint64 {

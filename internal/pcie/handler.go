@@ -1,14 +1,16 @@
 package pcie
 
-// Run-to-completion handler-proc machinery for the fabric (DESIGN.md
-// §16). Xfer and XferVec perform one DMA / DMAVec as an explicit state
-// machine a handler proc can drive without ever parking: each stage
-// delay is a Rearm, each bandwidth-server occupancy is the staged
-// AcquireH / HoldTime / CompleteH triple, and fault draws happen at the
-// same pipeline stages as in (*Fabric).DMA — so a transfer costs the
-// same whether a handler proc or a goroutine proc issues it, and the
-// deterministic fault streams stay shared. dmaWorker, the pooled
-// async-DMA worker, is built on Xfer.
+// The fabric's DMA machine (DESIGN.md §16). Xfer is the one
+// implementation of a DMA transaction's store-and-forward pipeline: an
+// explicit state machine whose stage delays are Rearms, whose
+// bandwidth-server occupancies are the staged AcquireH / HoldTime /
+// CompleteH triple, and whose fault draws happen at fixed pipeline
+// stages. A handler proc drives it from its body; (*Fabric).DMA drives
+// it from a goroutine proc, parking whenever Step reports false — so a
+// transfer costs the same whichever flavor issues it, and the
+// deterministic fault streams stay shared. XferVec chains Xfers over a
+// scatter-gather list; dmaWorker, the pooled async-DMA worker, is
+// built on Xfer.
 
 import (
 	"fmt"
@@ -25,7 +27,7 @@ type xferState int
 
 const (
 	xferIdle     xferState = iota // no transfer staged
-	xferStart                     // validate, resolve, draw degrade fault
+	xferStart                     // staged and routed: no-op, local move, or draw degrade fault
 	xferSetup                     // degrade stall elapsed; charge DMA setup
 	xferAcqUp                     // acquire the source up-link
 	xferUpHold                    // up-link occupancy elapsed
@@ -35,39 +37,51 @@ const (
 	xferDownHold                  // down-link occupancy elapsed
 	xferProp                      // propagation elapsed; copy and account
 	xferLocal                     // device-local: setup elapsed; copy
-	xferDone                      // terminal
 )
 
-// Xfer is one in-flight DMA transaction driven by a handler proc: a
-// run-to-completion replay of (*Fabric).MustDMA. Start stages the
-// transfer, then the owner calls Step from its handler body until Step
-// reports true; every false return means the machine re-armed itself
-// (or enrolled on a resource) and the body must return.
+// Xfer is one in-flight DMA transaction: the machine behind both
+// (*Fabric).DMA and handler-driven transfers. Start stages the
+// transfer, then the owner calls Step until it reports true; every
+// false return means the machine re-armed the proc (or enrolled it on
+// a bandwidth server) — a handler body must return, a goroutine proc
+// parks.
 //
 // The zero value is idle and reusable: a completed Xfer may be
 // Started again, so one machine per owner serves any number of
 // sequential transfers without allocating.
 type Xfer struct {
-	f         *Fabric
-	st        xferState
-	initiator *Port
-	dst, src  mem.Addr
-	n         int
-	tick      sim.ResTicket
-
-	srcPort, dstPort *Port
-	srcReg, dstReg   *mem.Region
+	f        *Fabric
+	st       xferState
+	dst, src mem.Addr
+	n        int
+	tick     sim.ResTicket
+	rt       route
 }
 
-// Start stages one transfer. Policy errors panic (the MustDMA
-// contract: handler paths are validated at configuration time).
+// Start stages one transfer; a zero-length one completes on the first
+// Step. Policy errors panic (the MustDMA contract: handler paths are
+// validated at configuration time).
 func (x *Xfer) Start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) {
+	var rt route
+	if n != 0 {
+		if n < 0 {
+			panic("pcie: negative DMA length")
+		}
+		var err error
+		if rt, err = f.resolve(initiator, dst, src); err != nil {
+			panic(err)
+		}
+	}
+	x.start(f, dst, src, n, rt)
+}
+
+// start stages a transfer whose length and route are validated.
+func (x *Xfer) start(f *Fabric, dst, src mem.Addr, n int, rt route) {
 	if x.st != xferIdle {
 		panic("pcie: Xfer started while a transfer is in flight")
 	}
 	x.f = f
-	x.initiator = initiator
-	x.dst, x.src, x.n = dst, src, n
+	x.dst, x.src, x.n, x.rt = dst, src, n, rt
 	x.st = xferStart
 }
 
@@ -75,11 +89,9 @@ func (x *Xfer) Start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) {
 func (x *Xfer) Active() bool { return x.st != xferIdle }
 
 // Step advances the transfer and reports whether it completed. On
-// false the handler body must return: the machine has re-armed h or
-// enrolled it on a bandwidth server and will make progress on the
-// next dispatch. The event sequence is identical to a MustDMA call —
-// same fault draws, same per-stage delays, same FIFO positions on
-// every server.
+// false the machine has re-armed h's proc or enrolled it on a
+// bandwidth server and makes progress on the next wake: a handler body
+// must return, a goroutine proc parks.
 //
 //dcslint:hotpath
 func (x *Xfer) Step(h *sim.HandlerCtx) bool {
@@ -93,11 +105,7 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				x.finish()
 				return true
 			}
-			if x.n < 0 {
-				panic("pcie: negative DMA length")
-			}
-			x.srcPort, x.srcReg, x.dstPort, x.dstReg = f.mustResolvePair(x.initiator, x.dst, x.src)
-			if x.srcPort == x.dstPort {
+			if x.rt.srcPort == x.rt.dstPort {
 				// Device-local move: no bus traffic, only internal copy
 				// time.
 				x.st = xferLocal
@@ -107,12 +115,17 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				}
 				continue
 			}
+			// Store-and-forward through the switch: serialize on the
+			// source link, the switch core, and the destination link in
+			// turn. Each stage is an independent bandwidth server, so
+			// concurrent transactions on disjoint links pipeline freely —
+			// no transfer ever holds one link while waiting for another
+			// (which would convoy the whole fabric).
 			x.st = xferSetup
 			if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
 				h.Rearm(linkRetrainStall)
 				return false
 			}
-			continue
 		case xferSetup:
 			x.st = xferAcqUp
 			if d := f.params.DMASetup; d > 0 {
@@ -120,16 +133,16 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				return false
 			}
 		case xferAcqUp:
-			if !x.srcPort.up.AcquireH(h, &x.tick) {
+			if !x.rt.srcPort.up.AcquireH(h, &x.tick) {
 				return false
 			}
 			x.st = xferUpHold
-			if d := x.srcPort.up.HoldTime(x.n); d > 0 {
+			if d := x.rt.srcPort.up.HoldTime(x.n); d > 0 {
 				h.Rearm(d)
 				return false
 			}
 		case xferUpHold:
-			x.srcPort.up.CompleteH(x.n)
+			x.rt.srcPort.up.CompleteH(x.n)
 			x.st = xferAcqCore
 		case xferAcqCore:
 			if !f.core.AcquireH(h, &x.tick) {
@@ -144,16 +157,16 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 			f.core.CompleteH(x.n)
 			x.st = xferAcqDown
 		case xferAcqDown:
-			if !x.dstPort.down.AcquireH(h, &x.tick) {
+			if !x.rt.dstPort.down.AcquireH(h, &x.tick) {
 				return false
 			}
 			x.st = xferDownHold
-			if d := x.dstPort.down.HoldTime(x.n); d > 0 {
+			if d := x.rt.dstPort.down.HoldTime(x.n); d > 0 {
 				h.Rearm(d)
 				return false
 			}
 		case xferDownHold:
-			x.dstPort.down.CompleteH(x.n)
+			x.rt.dstPort.down.CompleteH(x.n)
 			x.st = xferProp
 			if d := f.params.PropLatency; d > 0 {
 				h.Rearm(d)
@@ -161,9 +174,9 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 			}
 		case xferProp:
 			f.mem.Copy(x.dst, x.src, x.n)
-			x.srcPort.bytesOut += int64(x.n)
-			x.dstPort.bytesIn += int64(x.n)
-			if x.srcReg.Kind == mem.HostDRAM || x.dstReg.Kind == mem.HostDRAM {
+			x.rt.srcPort.bytesOut += int64(x.n)
+			x.rt.dstPort.bytesIn += int64(x.n)
+			if x.rt.srcReg.Kind == mem.HostDRAM || x.rt.dstReg.Kind == mem.HostDRAM {
 				f.hostBytes += int64(x.n)
 			} else {
 				f.p2pBytes += int64(x.n)
@@ -183,14 +196,13 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 // finish resets the machine to idle, dropping region/port references.
 func (x *Xfer) finish() {
 	x.st = xferIdle
-	x.srcPort, x.dstPort = nil, nil
-	x.srcReg, x.dstReg = nil, nil
+	x.rt = route{}
 }
 
-// XferVec is the handler-proc replay of (*Fabric).MustDMAVec: the
-// extents run strictly in order, each charged exactly as the
-// equivalent DMA call, with zero-length extents skipped inline. Like
-// Xfer, the zero value is idle and reusable.
+// XferVec is (*Fabric).MustDMAVec as a machine: the extents run
+// strictly in order, each on the Xfer a DMA call drives, with
+// zero-length extents skipped inline. Like Xfer, the zero value is
+// idle and reusable.
 type XferVec struct {
 	x         Xfer
 	f         *Fabric
@@ -223,7 +235,7 @@ func (v *XferVec) Start(f *Fabric, initiator *Port, base mem.Addr, exts []mem.Ex
 func (v *XferVec) Active() bool { return v.active }
 
 // Step advances the vectored transfer and reports whether every
-// extent completed. On false the handler body must return, exactly as
+// extent completed. On false the caller returns or parks, exactly as
 // with Xfer.Step.
 //
 //dcslint:hotpath

@@ -168,6 +168,5 @@ func SnapQueue[T any](c *snap.Codec, q *Queue[T], elem func(*snap.Codec, *T)) er
 	}
 	clear(q.items[min(q.itemHead+len(items), len(q.items)):]) // stale tail
 	q.items, q.itemHead = items, 0
-	q.maxLen = max(q.maxLen, len(items))
 	return nil
 }

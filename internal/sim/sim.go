@@ -449,7 +449,7 @@ func (e *Env) runHandler(p *Proc) {
 	}
 	e.hdispatch++
 	//dcslint:allow noalloc handler bodies are judged at their creation sites (noblockhandler walks them)
-	p.hfn(p.hctx)
+	p.hfn(&p.hctx)
 }
 
 // dispatchFrom runs the event loop on the coroutine of the parked
@@ -516,9 +516,14 @@ func (e *Env) dispatchExit() {
 //
 // A Proc with hfn set is the second flavor — a handler proc (see
 // SpawnHandler): it has no coroutine, and its wake events invoke hfn
-// inline on the dispatching goroutine. Both flavors share one
-// wake/enqueue path and one waiter representation, so sync primitives
-// and schedules are identical across flavors.
+// inline on the dispatching goroutine. Every proc carries a
+// HandlerCtx, and each blocking operation exists once, as the
+// non-blocking machine on that context (Signal.WaitH, Queue.GetH,
+// Resource.AcquireH, a Start/Step machine such as pcie.Xfer): a
+// handler body returns when the machine reports false, a goroutine
+// proc parks until the wake the machine arranged. Both flavors share
+// one wake/enqueue path and one waiter representation, so schedules
+// are identical across flavors by construction.
 type Proc struct {
 	env    *Env
 	name   string
@@ -535,7 +540,8 @@ type Proc struct {
 	stop  func()
 
 	hfn  func(*HandlerCtx) // handler body; non-nil marks a handler proc
-	hctx *HandlerCtx       // the body's context, allocated once at spawn
+	hctx HandlerCtx        // the proc's machine context; hctx.proc == p
+	tick ResTicket         // a goroutine proc's pending Acquire (one at a time)
 }
 
 // Name returns the process name given at Spawn time.
@@ -554,6 +560,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		panic("sim: Spawn on a closed environment")
 	}
 	p := &Proc{env: e, name: name, slot: len(e.procs)}
+	p.hctx.proc = p
 	e.procs = append(e.procs, p)
 	e.live++
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -606,7 +613,7 @@ func (p *Proc) retire() {
 // Close releases the environment: every goroutine proc that has not
 // finished (parked, or spawned and never started) is unwound, so its
 // coroutine exits and stops pinning what its body captured, and the
-// event queue is dropped. A parked proc resumes inside park, which
+// event queue is dropped. A parked proc resumes inside Park, which
 // panics with a sentinel that Spawn's wrapper recovers, so deferred
 // calls in the body run. Close is idempotent; Run and Spawn panic on a
 // closed environment, and so does Close while a Run is in progress.
@@ -632,16 +639,17 @@ func (e *Env) Close() {
 	e.live = 0 // handler procs own no coroutine; they end with the env
 }
 
-// HandlerCtx is the context of one handler proc: a run-to-completion
-// state machine dispatched inline by the event loop (see SpawnHandler).
-// The body may schedule events, ring doorbells, fire signals, and
-// re-arm itself, but it must never block — every park-capable API
-// panics on a handler proc (and dcslint noblockhandler proves the
-// absence statically). Waiting is expressed by enrolling on a
-// Signal/Cond/Queue/Resource edge through the non-blocking H variants
-// and returning; the next wake re-invokes the body, which re-checks
-// its state exactly like a goroutine proc re-checks its predicate
-// after a park.
+// HandlerCtx is the machine context of a proc: what a non-blocking
+// operation (an H variant, a Start/Step machine) needs to re-arm the
+// proc or enrol it on a Signal/Cond/Queue/Resource edge. A handler
+// proc (see SpawnHandler) is a run-to-completion body dispatched
+// inline by the event loop: it may schedule events, ring doorbells,
+// fire signals, and re-arm itself, but it must never block — every
+// park-capable API panics on a handler proc (and dcslint
+// noblockhandler proves the absence statically). When a machine
+// reports false the body returns; the next wake re-invokes it, and it
+// re-checks its state. A goroutine proc drives the same machines
+// through its own context (Proc.Ctx) and parks instead of returning.
 type HandlerCtx struct {
 	proc *Proc
 }
@@ -652,10 +660,10 @@ type HandlerCtx struct {
 // two flavors are schedule-identical from birth.
 func (e *Env) SpawnHandler(name string, fn func(*HandlerCtx)) *HandlerCtx {
 	p := &Proc{env: e, name: name, hfn: fn}
-	p.hctx = &HandlerCtx{proc: p}
+	p.hctx.proc = p
 	e.live++
 	e.enqueue(e.now, event{proc: p})
-	return p.hctx
+	return &p.hctx
 }
 
 // Name returns the handler proc's name given at SpawnHandler time.
@@ -685,7 +693,11 @@ func (h *HandlerCtx) Rearm(d Time) {
 // Exit terminates the handler proc: the body must return immediately
 // after calling it and no wake may still be pending. Dispatching a
 // terminated handler proc panics, mirroring goroutine-proc resumption.
+// A goroutine proc ends by returning from its body instead.
 func (h *HandlerCtx) Exit() {
+	if h.proc.hfn == nil {
+		panic("sim: Exit on goroutine proc " + h.proc.name)
+	}
 	if h.proc.dead {
 		panic("sim: handler proc " + h.proc.name + " exited twice")
 	}
@@ -693,11 +705,23 @@ func (h *HandlerCtx) Exit() {
 	h.proc.env.live--
 }
 
-// park returns control to the scheduler until the process is woken.
-// The parking coroutine itself becomes the dispatcher, so the common
-// case (another process runs next) costs one handoff: a switch back to
-// the Run loop and one into the next process.
-func (p *Proc) park() {
+// Ctx returns the proc's machine context, through which a goroutine
+// proc drives a non-blocking machine to completion:
+//
+//	h := p.Ctx()
+//	for !x.Step(h) {
+//		p.Park()
+//	}
+func (p *Proc) Ctx() *HandlerCtx { return &p.hctx }
+
+// Park returns control to the scheduler until the process is woken.
+// It must only follow a machine call on p.Ctx() that reported false,
+// having re-armed the proc or enrolled it on an edge; a park with no
+// wake arranged never returns. The parking coroutine itself becomes
+// the dispatcher, so the common case (another process runs next)
+// costs one handoff: a switch back to the Run loop and one into the
+// next process.
+func (p *Proc) Park() {
 	if p.hfn != nil {
 		panic("sim: handler proc " + p.name + " called a blocking API (re-arm on a Signal/Cond edge or use the non-blocking H variants instead)")
 	}
@@ -735,7 +759,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	e := p.env
 	e.enqueue(e.now+d, event{proc: p})
-	p.park()
+	p.Park()
 }
 
 // Yield lets every event already scheduled for the current instant run
@@ -753,5 +777,5 @@ func (p *Proc) Yield() {
 		return
 	}
 	e.enqueue(e.now, event{proc: p})
-	p.park()
+	p.Park()
 }

@@ -39,21 +39,19 @@ func (s *Signal) Fire(val any) {
 }
 
 // Wait blocks the process until the signal fires and returns the
-// fired value.
+// fired value: it parks on WaitH until that reports true.
 func (s *Signal) Wait(p *Proc) any {
-	for !s.done {
-		s.waiters = append(s.waiters, p)
-		p.park()
+	for !s.WaitH(&p.hctx) {
+		p.Park()
 	}
 	return s.val
 }
 
-// WaitH is the handler-proc analogue of Wait: when the signal has
-// already fired it reports true and the body proceeds inline (exactly
-// where a goroutine Wait would return without parking); otherwise it
-// enrolls the handler on the same waiter list a goroutine would park
-// on and reports false — the body must return and re-check on its
-// next dispatch, mirroring Wait's re-check loop.
+// WaitH is the wait itself: when the signal has already fired it
+// reports true and the caller proceeds inline; otherwise it enrolls
+// the proc on the waiter list Fire wakes and reports false — a handler
+// body must return and re-check on its next dispatch, a goroutine
+// proc parks (Wait).
 //
 //dcslint:hotpath
 func (s *Signal) WaitH(h *HandlerCtx) bool {
@@ -93,18 +91,18 @@ type Cond struct {
 // NewCond returns a condition bound to e.
 func NewCond(e *Env) *Cond { return &Cond{env: e} }
 
-// Wait parks until the next Broadcast. Callers must loop:
+// Wait parks until the next Broadcast (WaitH, then park). Callers
+// must loop:
 //
 //	for !predicate() { cond.Wait(p) }
 func (c *Cond) Wait(p *Proc) {
-	//dcslint:allow noalloc waiter list is capacity-preserving (Broadcast truncates, keeps backing array)
-	c.waiters = append(c.waiters, p)
-	p.park()
+	c.WaitH(&p.hctx)
+	p.Park()
 }
 
-// WaitH is the handler-proc analogue of Wait: it enrolls the handler
-// for the next Broadcast and returns. The body must return after
-// calling it and re-check its predicate on the next dispatch:
+// WaitH enrolls the proc for the next Broadcast and returns. A handler
+// body must return after calling it and re-check its predicate on the
+// next dispatch:
 //
 //	if !predicate() { cond.WaitH(h); return }
 //
@@ -141,7 +139,6 @@ type Queue[T any] struct {
 	itemHead int
 	waiters  []*Proc
 	waitHead int
-	maxLen   int // high-water mark, for diagnostics
 }
 
 // NewQueue returns an empty queue.
@@ -151,9 +148,6 @@ func NewQueue[T any](e *Env, name string) *Queue[T] {
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.itemHead }
-
-// MaxLen returns the high-water mark of the queue length.
-func (q *Queue[T]) MaxLen() int { return q.maxLen }
 
 // takeItem pops the head item, zeroing the vacated slot (queued values
 // may hold pointers) and rewinding once the queue drains.
@@ -199,40 +193,24 @@ func (q *Queue[T]) Put(v T) {
 		q.itemHead = 0
 	}
 	q.items = append(q.items, v)
-	if q.Len() > q.maxLen {
-		q.maxLen = q.Len()
-	}
 	q.wakeWaiter()
 }
 
-// Get removes and returns the oldest item, blocking while empty.
+// Get removes and returns the oldest item, blocking while empty: it
+// parks on GetH until that reports ok.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		if q.waitHead > 0 && len(q.waiters) == cap(q.waiters) {
-			n := copy(q.waiters, q.waiters[q.waitHead:])
-			for i := n; i < len(q.waiters); i++ {
-				q.waiters[i] = nil
-			}
-			q.waiters = q.waiters[:n]
-			q.waitHead = 0
+	for {
+		if v, ok := q.GetH(&p.hctx); ok {
+			return v
 		}
-		q.waiters = append(q.waiters, p)
-		p.park()
+		p.Park()
 	}
-	v := q.takeItem()
-	// If items remain and more waiters are parked, keep the chain going:
-	// the wake that freed us may have raced with multiple Puts.
-	if q.Len() > 0 {
-		q.wakeWaiter()
-	}
-	return v
 }
 
-// GetH is the handler-proc analogue of Get: when an item is available
-// it is taken (with the identical chain-wake behaviour) and returned
-// with ok=true; otherwise the handler is enrolled on the same waiter
-// FIFO a goroutine would park on and ok=false — the body must return
-// and retry on its next dispatch, mirroring Get's re-check loop.
+// GetH is the take itself: when an item is available it is taken and
+// returned with ok=true; otherwise the proc is enrolled on the waiter
+// FIFO Put wakes and ok=false — a handler body must return and retry
+// on its next dispatch, a goroutine proc parks (Get).
 //
 //dcslint:hotpath
 func (q *Queue[T]) GetH(h *HandlerCtx) (T, bool) {
@@ -251,8 +229,8 @@ func (q *Queue[T]) GetH(h *HandlerCtx) (T, bool) {
 		return zero, false
 	}
 	v := q.takeItem()
-	// Identical to Get: if items remain and more waiters are parked,
-	// keep the chain going.
+	// If items remain and more waiters are parked, keep the chain going:
+	// the wake that freed us may have raced with multiple Puts.
 	if q.Len() > 0 {
 		q.wakeWaiter()
 	}
@@ -320,37 +298,30 @@ func (r *Resource) BusyTime() Time {
 	return r.busy
 }
 
-// Acquire blocks until a unit is available and takes it.
+// Acquire blocks until a unit is available and takes it: it parks on
+// AcquireH, with the proc's own ticket, until that reports true.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
-		r.stamp()
-		r.inUse++
-		return
-	}
-	//dcslint:allow noalloc non-escaping waiter record, stack-allocated (pcie_dma_4k proves 0 allocs/op under contention)
-	w := &resWaiter{p: p}
-	//dcslint:allow noalloc waiter list is capacity-preserving (grant path truncates, keeps backing array)
-	r.waiters = append(r.waiters, w)
-	for !w.granted {
-		p.park()
+	for !r.AcquireH(&p.hctx, &p.tick) {
+		p.Park()
 	}
 }
 
-// ResTicket is a handler proc's pending Acquire: the waiter record a
-// goroutine Acquire would stack-allocate, held instead inside the
-// handler's long-lived state machine so enrolment survives across
-// dispatches without allocating. The zero value is an idle ticket.
+// ResTicket is a pending Acquire: the waiter record Release grants,
+// held by the caller so enrolment survives across dispatches without
+// allocating — inside a handler's long-lived state machine, or the
+// proc's own ticket for a goroutine Acquire. The zero value is an idle
+// ticket.
 type ResTicket struct {
 	w       resWaiter
 	waiting bool
 }
 
-// AcquireH is the handler-proc analogue of Acquire: it reports true
-// once the caller holds a unit. On false the handler is enrolled (or
-// still enrolled) on the same FIFO waiter list a goroutine would park
-// on; the body must return and call AcquireH again with the same
-// ticket on its next dispatch. The grant path is identical: Release
-// passes ownership directly to the head waiter.
+// AcquireH is the acquire itself: it reports true once the caller
+// holds a unit. On false the proc is enrolled (or still enrolled) on
+// the FIFO waiter list; a handler body must return and call AcquireH
+// again with the same ticket on its next dispatch, a goroutine proc
+// parks (Acquire). Release passes ownership directly to the head
+// waiter.
 //
 //dcslint:hotpath
 func (r *Resource) AcquireH(h *HandlerCtx, t *ResTicket) bool {
